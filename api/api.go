@@ -132,8 +132,6 @@ type Health struct {
 // HTTP 503).
 type FleetHealth struct {
 	Status string `json:"status"`
-	// Policy is the active routing policy name.
-	Policy string `json:"policy"`
 	// HealthyNodes counts nodes currently routable; Nodes lists all.
 	HealthyNodes int         `json:"healthy_nodes"`
 	Nodes        []FleetNode `json:"nodes"`
@@ -156,7 +154,7 @@ type FleetNode struct {
 	// re-enters routing when the transfer completes.
 	Warming bool `json:"warming,omitempty"`
 	// InFlight is the node's admitted-solve gauge from its last health
-	// probe (the least-loaded policy's input).
+	// probe.
 	InFlight int `json:"in_flight"`
 }
 
@@ -186,6 +184,37 @@ type CacheEntriesResponse struct {
 	Skipped   int    `json:"skipped"`
 	Rejected  int    `json:"rejected"`
 	RequestID string `json:"request_id,omitempty"`
+}
+
+// HeaderPeek marks a /v1/solve forward as a cache peek: a cache hit
+// answers normally (bypassing admission as hits always do), a miss
+// answers 204 No Content instead of admitting a solve. The fleet
+// router uses it to ask a key's replicas for the cached schedule
+// before re-solving work the fleet already paid for. 204 keeps a
+// missed peek out of the error counters and the SLO error budget — a
+// miss is an answer, not a failure.
+const HeaderPeek = "X-Fleet-Peek"
+
+// ValidRequestID reports whether id is an acceptable X-Request-ID:
+// 1..128 bytes of [0-9A-Za-z._-]. That is enough for every common ID
+// scheme (UUIDs, ULIDs, hex) while keeping header echo, log lines, and
+// /debug/requests/{id} URLs injection-free. The backends and the fleet
+// router both adopt a caller's ID only when it passes, and mint their
+// own otherwise.
+func ValidRequestID(id string) bool {
+	if len(id) == 0 || len(id) > 128 {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		c := id[i]
+		switch {
+		case c >= '0' && c <= '9', c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z',
+			c == '.', c == '_', c == '-':
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // Error is the body of every non-2xx response.

@@ -4,10 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math/rand/v2"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -55,11 +53,11 @@ type FleetConfig struct {
 }
 
 // Fleet is the fleet-aware client: it speaks to the ised backends
-// directly, computing the same canonical key -> ring owner mapping an
-// isedfleet router would, so every Solve lands on the node whose cache
+// directly, routing every call by the same fleet.Plan an isedfleet
+// router computes, so every Solve lands on the node whose cache
 // already holds equivalent instances. When the owner refuses (429/503)
-// or its circuit is open, the call fails over along the ring's replica
-// sequence — the exact nodes that would inherit the key if the owner
+// or its circuit is open, the call fails over along the plan's
+// candidates — the exact nodes that would inherit the key if the owner
 // left — under one request ID, so the hops of one logical call line up
 // in every backend's decision log.
 //
@@ -83,21 +81,22 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if len(cfg.Members) == 0 {
 		return nil, errors.New("client: fleet needs at least one member")
 	}
-	if err := fleet.ValidateMembers(cfg.Members); err != nil {
+	members, err := fleet.CleanMembers(cfg.Members)
+	if err != nil {
 		return nil, err
 	}
 	if cfg.Breakers == nil {
 		cfg.Breakers = NewBreakerGroup(cfg.Metrics)
 	}
-	f := &Fleet{cfg: cfg, byName: make(map[string]*Client, len(cfg.Members))}
+	f := &Fleet{cfg: cfg, byName: make(map[string]*Client, len(members))}
 	if cfg.Replication >= 2 {
 		f.replSem = make(chan struct{}, 4)
 	}
-	names := make([]string, 0, len(cfg.Members))
-	for _, m := range cfg.Members {
+	names := make([]string, 0, len(members))
+	for _, m := range members {
 		names = append(names, m.Name)
 		f.byName[m.Name] = &Client{
-			BaseURL:    strings.TrimRight(m.URL, "/"),
+			BaseURL:    m.URL,
 			HTTPClient: cfg.HTTPClient,
 			// One attempt per node per sweep: the sweep is the retry.
 			// Per-node backoff here would stall the failover that is the
@@ -129,8 +128,8 @@ func (f *Fleet) Owner(inst *calib.Instance) string { return f.ring.Owner(canonKe
 // exposed for health checks and tests.
 func (f *Fleet) Node(name string) *Client { return f.byName[name] }
 
-// Solve solves one instance, routed to its affinity owner with ring
-// failover.
+// Solve solves one instance, routed by its key's fleet.Plan: to the
+// affinity owner, failing over in ring-inheritance order.
 func (f *Fleet) Solve(ctx context.Context, req *api.SolveRequest) (*api.SolveResponse, error) {
 	if req == nil || req.Instance == nil {
 		return nil, errors.New("client: missing instance")
@@ -138,24 +137,25 @@ func (f *Fleet) Solve(ctx context.Context, req *api.SolveRequest) (*api.SolveRes
 	if err := req.Instance.Validate(); err != nil {
 		return nil, err
 	}
-	key := canonKey(req.Instance)
+	p := fleet.NewPlan(f.ring, canonKey(req.Instance), f.cfg.Replication, nil)
 	var out api.SolveResponse
-	served, err := f.failover(ctx, key, mintRequestID(), "/v1/solve", req, &out)
+	served, err := f.failover(ctx, p.Candidates, mintRequestID(), "/v1/solve", req, &out)
 	if err != nil {
 		return nil, err
 	}
-	f.replicate(key, served, req, &out)
+	f.replicate(p.Replicas, served, req, &out)
 	return &out, nil
 }
 
-// replicate write-behinds one fresh solve to the key's other replicas.
+// replicate write-behinds one fresh solve to the key's replicas, the
+// node that served it excepted.
 // The body is marshaled synchronously — req and out belong to the
 // caller, who may mutate them the moment Solve returns — and posted
 // asynchronously; failures are ignored (a lost replica write costs a
 // future re-solve, never this call). Batch rows are not replicated:
 // batch is a bulk-load path and replicating it would double its
 // traffic exactly when the fleet is busiest.
-func (f *Fleet) replicate(key uint64, served string, req *api.SolveRequest, out *api.SolveResponse) {
+func (f *Fleet) replicate(replicas []string, served string, req *api.SolveRequest, out *api.SolveResponse) {
 	if f.cfg.Replication < 2 || out.Cached {
 		return
 	}
@@ -165,7 +165,7 @@ func (f *Fleet) replicate(key uint64, served string, req *api.SolveRequest, out 
 	if err != nil {
 		return
 	}
-	for _, name := range f.ring.Sequence(key, f.cfg.Replication) {
+	for _, name := range replicas {
 		if name == served {
 			continue
 		}
@@ -188,70 +188,27 @@ func (f *Fleet) replicate(key uint64, served string, req *api.SolveRequest, out 
 // also use it between a load phase and an assertion phase.
 func (f *Fleet) Close() { f.replWG.Wait() }
 
-// Batch splits the rows by affinity owner — mirroring an isedfleet
-// router's split, so each sub-batch lands where its cache entries
-// live — solves the sub-batches concurrently with per-group failover,
-// and reassembles results in request order. Rows that cannot route
-// (nil or invalid instances) fail locally; a sub-batch whose every
-// candidate node failed reports that error on each of its rows.
+// Batch splits the rows by affinity owner with fleet.SplitBatch — the
+// split an isedfleet router makes, so each sub-batch lands where its
+// cache entries live — solves the sub-batches concurrently with
+// per-group failover, and reassembles results in request order. Rows
+// that cannot route (nil or invalid instances) fail locally; a
+// sub-batch whose every candidate node failed reports that error on
+// each of its rows.
 func (f *Fleet) Batch(ctx context.Context, req *api.BatchRequest) (*api.BatchResponse, error) {
 	if req == nil || len(req.Instances) == 0 {
 		return nil, errors.New("client: empty batch")
 	}
 	id := mintRequestID()
-	resp := &api.BatchResponse{Results: make([]*api.BatchResult, len(req.Instances)), RequestID: id}
-	type group struct {
-		key  uint64 // first row's canonical key: routes the sub-batch
-		rows []int  // original indices, in request order
-		sub  api.BatchRequest
-	}
-	groups := map[string]*group{}
-	var ordered []*group
-	for i, inst := range req.Instances {
-		if inst == nil {
-			resp.Results[i] = &api.BatchResult{Error: "missing instance"}
-			continue
-		}
-		if err := inst.Validate(); err != nil {
-			resp.Results[i] = &api.BatchResult{Error: err.Error()}
-			continue
-		}
-		key := canonKey(inst)
-		owner := f.ring.Owner(key)
-		g := groups[owner]
-		if g == nil {
-			g = &group{key: key, sub: api.BatchRequest{SolveOptions: req.SolveOptions}}
-			groups[owner] = g
-			ordered = append(ordered, g)
-		}
-		g.rows = append(g.rows, i)
-		g.sub.Instances = append(g.sub.Instances, inst)
-	}
-
-	var wg sync.WaitGroup
-	var mu sync.Mutex // guards the resp.Results scatter
-	for gi, g := range ordered {
-		wg.Add(1)
-		go func(gi int, g *group) {
-			defer wg.Done()
-			var out api.BatchResponse
-			_, err := f.failover(ctx, g.key, fmt.Sprintf("%s.g%d", id, gi), "/v1/batch", &g.sub, &out)
-			mu.Lock()
-			defer mu.Unlock()
-			for ri, row := range g.rows {
-				switch {
-				case err != nil:
-					resp.Results[row] = &api.BatchResult{Error: err.Error()}
-				case ri < len(out.Results) && out.Results[ri] != nil:
-					resp.Results[row] = out.Results[ri]
-				default:
-					resp.Results[row] = &api.BatchResult{Error: "backend returned no result for row"}
-				}
-			}
-		}(gi, g)
-	}
-	wg.Wait()
-	return resp, nil
+	cs := canonScratch.Get().(*canon.Scratch)
+	split := fleet.SplitBatch(f.ring, req, cs, nil)
+	canonScratch.Put(cs)
+	results := split.Run(id, func(g *fleet.Group, gid string) ([]*api.BatchResult, error) {
+		var out api.BatchResponse
+		_, err := f.failover(ctx, g.Plan.Candidates, gid, "/v1/batch", &g.Sub, &out)
+		return out.Results, err
+	})
+	return &api.BatchResponse{Results: results, RequestID: id}, nil
 }
 
 func (f *Fleet) passes() int {
@@ -275,20 +232,19 @@ func (f *Fleet) maxDelay() time.Duration {
 	return f.cfg.MaxDelay
 }
 
-// failover walks the key's ring replica sequence — owner first, then
-// the nodes that would inherit the key — giving each node one attempt
-// per pass under the shared request ID. Open breakers are skipped
-// locally; refusals (429/503) and transport errors move to the next
-// replica; a conclusive 4xx/500 returns immediately (it would fail the
-// same on every node). Between passes the call backs off with full
-// jitter, floored by the largest Retry-After any node asked for.
-// Returns the name of the node that answered, for write-behind.
-func (f *Fleet) failover(ctx context.Context, key uint64, id, path string, body, out any) (string, error) {
-	seq := f.ring.Sequence(key, 0)
+// failover walks a plan's candidates — owner first, then the nodes
+// that would inherit the key — giving each node one attempt per pass
+// under the shared request ID. Open breakers are skipped locally;
+// refusals (429/503) and transport errors move to the next candidate;
+// a conclusive 4xx/500 returns immediately (it would fail the same on
+// every node). Between passes the call backs off with full jitter,
+// floored by the largest Retry-After any node asked for. Returns the
+// name of the node that answered, for write-behind.
+func (f *Fleet) failover(ctx context.Context, candidates []string, id, path string, body, out any) (string, error) {
 	var lastErr error
 	for pass := 0; ; pass++ {
 		var hint time.Duration
-		for _, name := range seq {
+		for _, name := range candidates {
 			err := f.byName[name].postID(ctx, path, id, body, out)
 			if err == nil {
 				return name, nil

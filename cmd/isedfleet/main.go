@@ -2,13 +2,14 @@
 // with the same /v1 HTTP/JSON surface a single daemon serves,
 // consistent-hashing each request's canonical instance key so
 // equivalent solves always land on the node that already holds the
-// cached schedule (see docs/SERVICE.md, "Fleet").
+// cached schedule, and failing over to the key's ring successors in
+// inheritance order when that node cannot serve (see docs/SERVICE.md,
+// "Fleet").
 //
 // Usage:
 //
 //	isedfleet -backends URL[,URL...] | -roster FILE
 //	          [-addr host:port] [-addr-file FILE]
-//	          [-policy hash-affinity|least-loaded|round-robin]
 //	          [-replicas N] [-probe-interval D] [-probe-timeout D]
 //	          [-fail-after N] [-readmit-after N] [-roster-interval D]
 //	          [-retry-after D]
@@ -36,8 +37,8 @@
 // The router always exports /metrics (the fleet_* catalogue —
 // spillover by reason, ejections, ring rebuilds — next to the usual
 // export surface), /debug/vars and /debug/pprof on its own address.
-// /v1/healthz answers the fleet-level view: per-node health, the
-// active policy, and ring statistics.
+// /v1/healthz answers the fleet-level view: per-node health and ring
+// statistics.
 package main
 
 import (
@@ -77,7 +78,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	backends := fs.String("backends", "", "static roster: comma-separated name=url or url entries")
 	roster := fs.String("roster", "", "JSON roster file, watched for membership changes (see docs/SERVICE.md)")
 	rosterEvery := fs.Duration("roster-interval", time.Second, "how often to poll -roster for changes")
-	policy := fs.String("policy", fleet.PolicyHashAffinity, "routing policy: hash-affinity, least-loaded, or round-robin")
 	replicas := fs.Int("replicas", 0, "virtual nodes per backend on the consistent-hash ring (0 = 128)")
 	probeEvery := fs.Duration("probe-interval", time.Second, "health probe spacing per backend")
 	probeTimeout := fs.Duration("probe-timeout", 2*time.Second, "health probe timeout")
@@ -122,7 +122,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 
 	f, err := fleet.New(fleet.Config{
 		Members:          members,
-		Policy:           *policy,
 		Replicas:         *replicas,
 		ProbeInterval:    *probeEvery,
 		ProbeTimeout:     *probeTimeout,
@@ -169,8 +168,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 			return err
 		}
 	}
-	fmt.Fprintf(stderr, "isedfleet: routing %d backends (policy %s) on http://%s\n",
-		len(members), *policy, bound)
+	fmt.Fprintf(stderr, "isedfleet: routing %d backends on http://%s\n", len(members), bound)
 
 	hs := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 	done := make(chan error, 1)

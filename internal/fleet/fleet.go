@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,9 +29,6 @@ type Member struct {
 type Config struct {
 	// Members is the initial roster.
 	Members []Member
-	// Policy names the routing policy: "hash-affinity" (default),
-	// "least-loaded", or "round-robin".
-	Policy string
 	// Replicas is the virtual-node count per member (0 =
 	// DefaultReplicas).
 	Replicas int
@@ -76,9 +74,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Policy == "" {
-		c.Policy = PolicyHashAffinity
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
 	}
@@ -141,10 +136,8 @@ type Node struct {
 	oks   int
 
 	// probedInFlight is the backend's in_flight gauge from its last
-	// health probe; outstanding counts this router's own live forwards.
-	// least-loaded routing sums both.
+	// health probe, reported in the router's /v1/healthz.
 	probedInFlight atomic.Int64
-	outstanding    atomic.Int64
 }
 
 // Node health states (Node.state).
@@ -161,11 +154,6 @@ func (n *Node) Healthy() bool { return n.state.Load() == nodeHealthy }
 // pass (hint replay + warm transfer), not yet routable.
 func (n *Node) Warming() bool { return n.state.Load() == nodeWarming }
 
-// Load is the least-loaded policy's ordering key: the backend's
-// probed in-flight gauge plus this router's own outstanding forwards
-// to it (the probe lags; the local count does not).
-func (n *Node) Load() int64 { return n.probedInFlight.Load() + n.outstanding.Load() }
-
 // view is one immutable membership snapshot: the ring plus the node
 // set it was built from. Fleet swaps views atomically on roster
 // changes; request handling loads the pointer once and works on a
@@ -176,13 +164,16 @@ type view struct {
 	byName map[string]*Node
 }
 
-// Fleet is the routing core: membership, health, policy, and the
-// forwarding loop the Router builds on. Create with New, then Start
-// the prober; Close stops it.
+// healthy reports whether the named node is in v's routing set: the
+// health predicate of every plan the router computes.
+func (v *view) healthy(name string) bool { return v.byName[name].Healthy() }
+
+// Fleet is the routing core: membership, health, and the forwarding
+// loop the Router builds on. Create with New, then Start the prober;
+// Close stops it.
 type Fleet struct {
-	cfg    Config
-	view   atomic.Pointer[view]
-	policy Policy
+	cfg  Config
+	view atomic.Pointer[view]
 
 	probeWG     sync.WaitGroup
 	probeCancel context.CancelFunc
@@ -228,13 +219,8 @@ const DefaultReplication = 2
 func New(cfg Config) (*Fleet, error) {
 	cfg = cfg.withDefaults()
 	obs.DeclareFleet(cfg.Metrics)
-	pol, err := PolicyByName(cfg.Policy)
-	if err != nil {
-		return nil, err
-	}
 	f := &Fleet{
 		cfg:           cfg,
-		policy:        pol,
 		nodesG:        cfg.Metrics.Gauge(obs.MFleetNodes),
 		healthyG:      cfg.Metrics.Gauge(obs.MFleetHealthyNodes),
 		warmingG:      cfg.Metrics.Gauge(obs.MFleetWarmingNodes),
@@ -270,23 +256,30 @@ func New(cfg Config) (*Fleet, error) {
 	return f, nil
 }
 
-// ValidateMembers rejects rosters the ring cannot hash: empty or
-// duplicate names, empty URLs.
-func ValidateMembers(members []Member) error {
+// CleanMembers returns a copy of members with trailing slashes
+// trimmed from every URL — both the router and the client append
+// "/v1/..." paths, and a doubled slash draws a redirect that turns
+// every POST into a GET — and rejects rosters the ring cannot hash:
+// empty or duplicate names, empty URLs (checked after trimming, so a
+// URL of only slashes is empty).
+func CleanMembers(members []Member) ([]Member, error) {
+	out := make([]Member, len(members))
 	seen := make(map[string]struct{}, len(members))
-	for _, m := range members {
+	for i, m := range members {
+		m.URL = strings.TrimRight(m.URL, "/")
 		if m.Name == "" {
-			return fmt.Errorf("fleet member with empty name (url %q)", m.URL)
+			return nil, fmt.Errorf("fleet member with empty name (url %q)", m.URL)
 		}
 		if m.URL == "" {
-			return fmt.Errorf("fleet member %q with empty url", m.Name)
+			return nil, fmt.Errorf("fleet member %q with empty url", m.Name)
 		}
 		if _, dup := seen[m.Name]; dup {
-			return fmt.Errorf("duplicate fleet member name %q", m.Name)
+			return nil, fmt.Errorf("duplicate fleet member name %q", m.Name)
 		}
 		seen[m.Name] = struct{}{}
+		out[i] = m
 	}
-	return nil
+	return out, nil
 }
 
 // SetMembers installs a new roster: the ring is rebuilt and swapped in
@@ -294,7 +287,8 @@ func ValidateMembers(members []Member) error {
 // names survive keep their health state, and every add/remove is
 // logged. Called at construction, by the roster watcher, and by tests.
 func (f *Fleet) SetMembers(members []Member) error {
-	if err := ValidateMembers(members); err != nil {
+	members, err := CleanMembers(members)
+	if err != nil {
 		return err
 	}
 	old := f.view.Load()
@@ -326,8 +320,7 @@ func (f *Fleet) SetMembers(members []Member) error {
 	f.rebuilds.Inc()
 	f.nodesG.Set(float64(len(nodes)))
 	f.updateHealthyGauge(v)
-	f.cfg.Logf("fleet: ring rebuilt: %d nodes, %d points, policy %s",
-		v.ring.Len(), v.ring.Points(), f.policy.Name())
+	f.cfg.Logf("fleet: ring rebuilt: %d nodes, %d points", v.ring.Len(), v.ring.Points())
 	return nil
 }
 
@@ -477,12 +470,23 @@ func (f *Fleet) reportFailure(n *Node, via string, err error) {
 	}
 }
 
-// reportSuccess feeds one success in: a healthy node's failure streak
-// resets; an ejected node needs ReadmitAfter consecutive successful
-// probes to return (one lucky probe against a flapping backend is not
-// recovery). With replication enabled, recovery enters the warming
-// state first — the node gets its hinted-handoff backlog and a warm
-// transfer before it re-enters routing.
+// reportAlive feeds in an HTTP answer to a forward or a replica write:
+// the node's failure streak resets, but only probes readmit an ejected
+// node. Such an answer can land just after concurrent failures ejected
+// the node it was sent to, so it says nothing about the node now.
+func (f *Fleet) reportAlive(n *Node) {
+	n.mu.Lock()
+	n.fails = 0
+	n.mu.Unlock()
+}
+
+// reportSuccess feeds one successful probe in: a healthy node's
+// failure streak resets; an ejected node needs ReadmitAfter
+// consecutive successful probes to return (one lucky probe against a
+// flapping backend is not recovery). With replication enabled,
+// recovery enters the warming state first — the node gets its
+// hinted-handoff backlog and a warm transfer before it re-enters
+// routing.
 func (f *Fleet) reportSuccess(n *Node) {
 	n.mu.Lock()
 	n.fails = 0

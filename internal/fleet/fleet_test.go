@@ -33,15 +33,19 @@ func TestValidateMembers(t *testing.T) {
 		wantErr string
 	}{
 		{[]Member{{Name: "a", URL: "http://x"}}, ""},
+		{[]Member{{Name: "a", URL: "http://x//"}}, ""},
 		{[]Member{{Name: "", URL: "http://x"}}, "empty name"},
 		{[]Member{{Name: "a", URL: ""}}, "empty url"},
+		{[]Member{{Name: "a", URL: "/"}}, "empty url"},
 		{[]Member{{Name: "a", URL: "http://x"}, {Name: "a", URL: "http://y"}}, "duplicate"},
 	}
 	for _, c := range cases {
-		err := ValidateMembers(c.members)
+		got, err := CleanMembers(c.members)
 		if c.wantErr == "" {
 			if err != nil {
 				t.Errorf("%v: unexpected error %v", c.members, err)
+			} else if got[0].URL != "http://x" {
+				t.Errorf("%v: url cleaned to %q, want http://x", c.members, got[0].URL)
 			}
 			continue
 		}
@@ -191,6 +195,40 @@ func TestEjectReadmit(t *testing.T) {
 	}
 	if got := reg.Counter(obs.MFleetReadmits).Value(); got != 1 {
 		t.Errorf("readmit counter = %d, want 1", got)
+	}
+}
+
+// TestForwardAnswerDoesNotReadmit: an answer to a forward can land
+// just after concurrent failures ejected its node (it was sent while
+// the node was healthy); it must not readmit the node — only probes
+// do. Counting it made TestFleetSurvivesBackendKill see a second
+// ejection now and then.
+func TestForwardAnswerDoesNotReadmit(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"status": "ok"}`))
+	}))
+	defer ts.Close()
+	f := testFleet(t, []Member{{Name: "n", URL: ts.URL}}, func(c *Config) { c.ReadmitAfter = 1 })
+	n := f.view.Load().byName["n"]
+	f.reportFailure(n, "test", context.DeadlineExceeded)
+	f.reportFailure(n, "test", context.DeadlineExceeded)
+	if n.Healthy() {
+		t.Fatal("node not ejected after FailAfter failures")
+	}
+
+	req := httptest.NewRequest(http.MethodPost, "/v1/solve", nil)
+	resp, err := NewRouter(f).forward(req, n, "/v1/solve", "id-1", []byte("{}"), n, "affinity", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if n.Healthy() {
+		t.Fatal("a forward's answer readmitted an ejected node")
+	}
+
+	f.ProbeAll(context.Background())
+	if !n.Healthy() {
+		t.Fatal("a successful probe did not readmit the node at ReadmitAfter 1")
 	}
 }
 

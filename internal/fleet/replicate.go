@@ -16,7 +16,7 @@ import (
 
 // Replication write-behind. After a leader solve completes somewhere,
 // the router re-posts the (request, response) pair to the key's other
-// ring replicas (Ring.Sequence order, Config.Replication names deep)
+// ring replicas (Plan.Replicas: Config.Replication names deep)
 // through a bounded asynchronous queue. Replication is an optimization
 // layered on a correct single-copy system: every path here is allowed
 // to drop work — the cost of a lost replica write is one future
@@ -168,7 +168,7 @@ func (r *replicator) deliver(node string, key uint64, payload []byte) {
 	cancel()
 	if err == nil {
 		r.sent.Inc()
-		f.reportSuccess(n)
+		f.reportAlive(n)
 		return
 	}
 	r.errors.Inc()
@@ -212,19 +212,19 @@ func (r *replicator) close() {
 	r.wg.Wait()
 }
 
-// enqueueSolve fans one freshly solved response out to the key's other
-// replicas. reqBody aliases a pooled buffer, so the wire entry is
-// assembled into fresh memory here, before the asynchronous queue ever
-// sees it. Cached responses are skipped: a hit's replicas were written
-// when the entry was first solved.
-func (f *Fleet) enqueueSolve(key uint64, servedBy string, reqBody, respBody []byte) {
+// enqueueSolve fans one freshly solved response out to the key's
+// replicas (its plan's Replicas), the node that served it excepted.
+// reqBody aliases a pooled buffer, so the wire entry is assembled into
+// fresh memory here, before the asynchronous queue ever sees it.
+// Cached responses are skipped: a hit's replicas were written when the
+// entry was first solved.
+func (f *Fleet) enqueueSolve(key uint64, servedBy string, replicas []string, reqBody, respBody []byte) {
 	var m struct {
 		Cached bool `json:"cached"`
 	}
 	if json.Unmarshal(respBody, &m) != nil || m.Cached {
 		return
 	}
-	targets := f.view.Load().ring.Sequence(key, f.cfg.Replication)
 	// One api.CacheEntry object, assembled from the raw request and
 	// response bytes (both are complete JSON values on this path).
 	entry := make([]byte, 0, len(reqBody)+len(respBody)+len(`{"request":,"response":}`))
@@ -233,7 +233,7 @@ func (f *Fleet) enqueueSolve(key uint64, servedBy string, reqBody, respBody []by
 	entry = append(entry, `,"response":`...)
 	entry = append(entry, respBody...)
 	entry = append(entry, '}')
-	for _, name := range targets {
+	for _, name := range replicas {
 		if name == servedBy {
 			continue
 		}

@@ -1,8 +1,9 @@
 // Package fleet distributes the ised solver service across N
 // backends: a consistent-hash ring keyed by the canonical 64-bit
-// instance key (internal/canon), pluggable routing policies, static or
-// file-watched membership with per-node health probing, and the HTTP
-// router (cmd/isedfleet) that fronts the fleet.
+// instance key (internal/canon), the one routing rule built on it
+// (Plan: the owner first, then its ring successors in inheritance
+// order), static or file-watched membership with per-node health
+// probing, and the HTTP router (cmd/isedfleet) that fronts the fleet.
 //
 // The design goal is the paper's economy lifted to the cluster: never
 // pay for a solve the fleet has already paid for. Equivalent instances
@@ -123,8 +124,8 @@ func (r *Ring) Points() int { return len(r.points) }
 // callers must not mutate it.
 func (r *Ring) Nodes() []string { return r.names }
 
-// Owner returns the node owning key: the affinity target every policy
-// prefers. Empty string on an empty ring.
+// Owner returns the node owning key: the affinity target routing
+// tries first. Empty string on an empty ring.
 func (r *Ring) Owner(key uint64) string {
 	if len(r.points) == 0 {
 		return ""

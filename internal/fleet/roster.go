@@ -35,10 +35,7 @@ func ParseRoster(raw []byte) ([]Member, error) {
 	if len(r.Nodes) == 0 {
 		return nil, fmt.Errorf("roster has no nodes")
 	}
-	if err := ValidateMembers(r.Nodes); err != nil {
-		return nil, err
-	}
-	return r.Nodes, nil
+	return CleanMembers(r.Nodes)
 }
 
 // LoadRoster reads and parses a roster file.
@@ -60,19 +57,16 @@ func ParseStatic(spec string) ([]Member, error) {
 		if part == "" {
 			continue
 		}
-		var m Member
 		if name, url, ok := strings.Cut(part, "="); ok && !strings.Contains(name, "/") {
-			m = Member{Name: strings.TrimSpace(name), URL: strings.TrimSpace(url)}
+			out = append(out, Member{Name: strings.TrimSpace(name), URL: strings.TrimSpace(url)})
 		} else {
-			m = Member{Name: hostPort(part), URL: part}
+			out = append(out, Member{Name: hostPort(part), URL: part})
 		}
-		m.URL = strings.TrimRight(m.URL, "/")
-		out = append(out, m)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("no backends in %q", spec)
 	}
-	return out, ValidateMembers(out)
+	return CleanMembers(out)
 }
 
 // hostPort strips the scheme and any path from a URL, leaving the

@@ -31,17 +31,11 @@ const (
 	// lives. When it differs from HeaderNode, the request spilled.
 	HeaderOwner = "X-Fleet-Owner"
 	// HeaderRoute is "affinity" when the serving node is the owner,
-	// "spillover:<reason>" otherwise, or the policy name for the
-	// key-oblivious policies. Replication adds "replica-peek" (request
-	// direction: a cache peek at a replica before admitting a spillover
-	// solve) and "replica-hit" (response direction: the peek found the
-	// schedule — no solve was admitted anywhere).
+	// "spillover:<reason>" otherwise. Replication adds "replica-peek"
+	// (request direction: a cache peek at a replica before admitting a
+	// spillover solve) and "replica-hit" (response direction: the peek
+	// found the schedule — no solve was admitted anywhere).
 	HeaderRoute = "X-Fleet-Route"
-	// HeaderPeek marks a /v1/solve forward as a cache peek: hit answers
-	// normally, miss answers 204 instead of admitting a solve. Must
-	// match internal/server's HeaderPeek (the packages share the wire,
-	// not code).
-	HeaderPeek = "X-Fleet-Peek"
 )
 
 // Router is the HTTP front of a Fleet: it serves the same /v1 surface
@@ -105,28 +99,10 @@ var (
 )
 
 func requestID(r *http.Request) string {
-	if id := r.Header.Get("X-Request-Id"); validID(id) {
+	if id := r.Header.Get("X-Request-Id"); api.ValidRequestID(id) {
 		return id
 	}
 	return fmt.Sprintf("%016x", routerIDBase^mix64(routerIDSeq.Add(1)))
-}
-
-// validID mirrors the backends' request-ID grammar (internal/server):
-// 1..128 bytes of [0-9A-Za-z._-].
-func validID(id string) bool {
-	if len(id) == 0 || len(id) > 128 {
-		return false
-	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		switch {
-		case c >= '0' && c <= '9', c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z',
-			c == '.', c == '_', c == '-':
-		default:
-			return false
-		}
-	}
-	return true
 }
 
 func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
@@ -157,47 +133,72 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := rs.cs.Canonicalize(inst).Key
-	rt.route(w, r, "/v1/solve", key, id, rs.body.Bytes())
+	rt.route(w, r, key, id, rs.body.Bytes())
 }
 
-// route runs the forward loop for one request body: candidates in
-// policy order, spillover counted, first conclusive backend answer
-// streamed back.
-func (rt *Router) route(w http.ResponseWriter, r *http.Request, path string, key uint64, id string, body []byte) {
+// route forwards one /v1/solve body along its key's plan and relays
+// the first conclusive answer, handing a fresh 200 to replication.
+func (rt *Router) route(w http.ResponseWriter, r *http.Request, key uint64, id string, body []byte) {
 	f := rt.f
 	v := f.view.Load()
-	owner, order := rt.candidates(v, key)
-	if len(order) == 0 {
-		f.exhausted.Inc()
-		rt.fail(w, http.StatusServiceUnavailable, errors.New("fleet has no nodes"), id, f.cfg.RetryAfter)
+	p := NewPlan(v.ring, key, f.cfg.Replication, v.healthy)
+	resp, n, route, retry, err := rt.walk(r, v, p, "/v1/solve", id, body, f.repl != nil)
+	if err != nil {
+		status := http.StatusBadGateway
+		if retry > 0 {
+			status = http.StatusServiceUnavailable
+		}
+		rt.fail(w, status, err, id, retry)
 		return
 	}
+	owner := v.byName[p.Owner]
+	if f.repl != nil && route != routeReplicaHit && resp.StatusCode == http.StatusOK {
+		rt.relayReplicating(w, resp, n, owner, route, key, p.Replicas, body)
+	} else {
+		rt.relay(w, resp, n, owner, route)
+	}
+}
+
+// routeReplicaHit labels an answer a replica peek found in cache.
+const routeReplicaHit = "replica-hit"
+
+// walk forwards body to p's candidates in order until one answers
+// conclusively — anything but a transport failure or a 429/503
+// refusal — and returns that answer with the node and route label that
+// produced it. Detours off the owner count in fleet_spillover_total.
+// With peek set, the key's replicas are asked for a cached schedule
+// once, ahead of the first off-owner forward, and a hit comes back
+// labeled routeReplicaHit.
+//
+// When every candidate fails, walk returns an error. retry is then the
+// Retry-After to hand the caller when some node refused (or the fleet
+// has no nodes), and 0 when every failure was a transport error.
+func (rt *Router) walk(r *http.Request, v *view, p Plan, path, id string, body []byte, peek bool) (resp *http.Response, n *Node, route string, retry time.Duration, err error) {
+	f := rt.f
+	if len(p.Candidates) == 0 {
+		f.exhausted.Inc()
+		return nil, nil, "", f.cfg.RetryAfter, errors.New("fleet has no nodes")
+	}
+	owner := v.byName[p.Owner]
 	var (
 		spillReason string // first divergence reason, for the counter + header
 		hint        time.Duration
-		lastErr     error
 		sawRefusal  bool
 	)
-	if owner != nil && !owner.Healthy() {
+	if !owner.Healthy() {
 		spillReason = SpillUnhealthy
 	}
-	peeked := false
-	for _, n := range order {
-		// Owner miss under hash-affinity: before admitting a solve on a
-		// non-owner, ask the key's replicas whether one already holds
-		// the schedule. One peek round per request, ahead of the first
-		// off-owner forward.
-		if f.repl != nil && !peeked && n != owner &&
-			path == "/v1/solve" && f.policy.Name() == PolicyHashAffinity {
-			peeked = true
-			if rt.peekReplicas(w, r, v, key, id, body, owner) {
-				return
+	for _, name := range p.Candidates {
+		n = v.byName[name]
+		if peek && n != owner {
+			peek = false
+			if hit, hn := rt.peekReplicas(r, v, p, id, body, owner); hit != nil {
+				return hit, hn, routeReplicaHit, 0, nil
 			}
 		}
-		resp, err := rt.forward(r, n, path, id, body, owner,
-			routeLabel(f.policy.Name(), n, owner, spillReason), false)
+		route = routeLabel(n, owner, spillReason)
+		resp, err = rt.forward(r, n, path, id, body, owner, route, false)
 		if err != nil {
-			lastErr = err
 			if n == owner && spillReason == "" {
 				spillReason = SpillError
 			}
@@ -205,7 +206,7 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, path string, key
 		}
 		if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
 			// The node is alive and refusing; remember its backoff ask
-			// and try the next replica — that is the whole point of
+			// and try the next candidate — that is the whole point of
 			// having one.
 			if h := retryAfter(resp); h > hint {
 				hint = h
@@ -213,7 +214,7 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, path string, key
 			io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
 			resp.Body.Close()
 			sawRefusal = true
-			lastErr = fmt.Errorf("node %s refused with %d", n.Name, resp.StatusCode)
+			err = fmt.Errorf("node %s refused with %d", n.Name, resp.StatusCode)
 			if n == owner && spillReason == "" {
 				if resp.StatusCode == http.StatusTooManyRequests {
 					spillReason = SpillShed
@@ -226,73 +227,21 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, path string, key
 		// Conclusive answer (success or a terminal 4xx/500 that would
 		// fail identically anywhere).
 		if n != owner && spillReason != "" {
-			f.spillCount(spillReason)
+			f.spill[spillReason].Inc()
 		}
-		route := routeLabel(f.policy.Name(), n, owner, spillReason)
-		if f.repl != nil && path == "/v1/solve" && resp.StatusCode == http.StatusOK {
-			rt.relayReplicating(w, resp, n, owner, route, key, body)
-		} else {
-			rt.relay(w, resp, n, owner, route)
-		}
-		return
+		return resp, n, route, 0, nil
 	}
 	f.exhausted.Inc()
 	if spillReason != "" {
-		f.spillCount(spillReason)
+		f.spill[spillReason].Inc()
 	}
-	status := http.StatusBadGateway
-	ra := time.Duration(0)
 	if sawRefusal {
-		status = http.StatusServiceUnavailable
-		ra = hint
-		if ra <= 0 {
-			ra = f.cfg.RetryAfter
+		retry = hint
+		if retry <= 0 {
+			retry = f.cfg.RetryAfter
 		}
 	}
-	rt.fail(w, status, fmt.Errorf("all %d candidate nodes failed: %w", len(order), lastErr), id, ra)
-}
-
-// spillCount bumps fleet_spillover_total under the hash-affinity
-// policy only: for the key-oblivious policies, serving off-owner is
-// the policy working, not affinity being lost.
-func (f *Fleet) spillCount(reason string) {
-	if f.policy.Name() != PolicyHashAffinity {
-		return
-	}
-	if c := f.spill[reason]; c != nil {
-		c.Inc()
-	}
-}
-
-// candidates resolves the try order for a key on view v: the ring's
-// replica sequence filtered to healthy nodes, shaped by the policy,
-// with the raw ring sequence as the no-healthy-nodes last resort
-// (probes lag recoveries; trying beats refusing).
-func (rt *Router) candidates(v *view, key uint64) (owner *Node, order []*Node) {
-	seqNames := v.ring.Sequence(key, 0)
-	if len(seqNames) == 0 {
-		return nil, nil
-	}
-	seq := make([]*Node, 0, len(seqNames))
-	healthy := make([]*Node, 0, len(seqNames))
-	for _, name := range seqNames {
-		n := v.byName[name]
-		if n == nil {
-			continue
-		}
-		seq = append(seq, n)
-		if n.Healthy() {
-			healthy = append(healthy, n)
-		}
-	}
-	if len(seq) == 0 {
-		return nil, nil
-	}
-	owner = seq[0]
-	if len(healthy) == 0 {
-		return owner, seq
-	}
-	return owner, rt.f.policy.Order(key, healthy)
+	return nil, nil, "", retry, fmt.Errorf("all %d candidate nodes failed: %w", len(p.Candidates), err)
 }
 
 // forward performs one attempt against one node. Transport failures
@@ -312,35 +261,30 @@ func (rt *Router) forward(r *http.Request, n *Node, path, id string, body []byte
 	}
 	req.Header.Set(HeaderRoute, route)
 	if peek {
-		req.Header.Set(HeaderPeek, "1")
+		req.Header.Set(api.HeaderPeek, "1")
 	}
-	n.outstanding.Add(1)
 	f.inflightG.Add(1)
 	t0 := time.Now()
 	resp, err := f.cfg.HTTPClient.Do(req)
 	f.fwdSecs.Observe(time.Since(t0).Seconds())
 	f.inflightG.Add(-1)
-	n.outstanding.Add(-1)
 	if err != nil {
 		f.reportFailure(n, "forward", err)
 		return nil, fmt.Errorf("node %s: %w", n.Name, err)
 	}
-	f.reportSuccess(n)
+	f.reportAlive(n)
 	return resp, nil
 }
 
 // routeLabel renders the X-Fleet-Route annotation for a forward to n.
-func routeLabel(policy string, n, owner *Node, spillReason string) string {
+func routeLabel(n, owner *Node, spillReason string) string {
 	if n == owner {
 		return "affinity"
 	}
-	if policy == PolicyHashAffinity {
-		if spillReason == "" {
-			spillReason = SpillError
-		}
-		return "spillover:" + spillReason
+	if spillReason == "" {
+		spillReason = SpillError
 	}
-	return policy
+	return "spillover:" + spillReason
 }
 
 // relay streams a backend response to the client, annotated with the
@@ -371,26 +315,26 @@ func (rt *Router) relayHeaders(w http.ResponseWriter, resp *http.Response, n, ow
 // behind: the client is answered first, replicas converge after).
 // Responses too large for the router's own body bound are relayed but
 // not replicated.
-func (rt *Router) relayReplicating(w http.ResponseWriter, resp *http.Response, n, owner *Node, route string, key uint64, reqBody []byte) {
+func (rt *Router) relayReplicating(w http.ResponseWriter, resp *http.Response, n, owner *Node, route string, key uint64, replicas []string, reqBody []byte) {
 	defer resp.Body.Close()
 	buf, err := io.ReadAll(io.LimitReader(resp.Body, rt.f.cfg.MaxBody+1))
 	rt.relayHeaders(w, resp, n, owner, route)
 	w.WriteHeader(resp.StatusCode)
 	w.Write(buf)
 	if err == nil && int64(len(buf)) <= rt.f.cfg.MaxBody {
-		rt.f.enqueueSolve(key, n.Name, reqBody, buf)
+		rt.f.enqueueSolve(key, n.Name, replicas, reqBody, buf)
 	}
 }
 
-// peekReplicas asks the key's replicas (ring successors, owner
-// excluded) for a cached schedule before the caller admits a spillover
-// solve. A hit is relayed as X-Fleet-Route: replica-hit and ends the
-// request; a miss (204) falls through to solving.
-func (rt *Router) peekReplicas(w http.ResponseWriter, r *http.Request, v *view, key uint64, id string, body []byte, owner *Node) bool {
+// peekReplicas asks the key's healthy replicas (owner excluded) for a
+// cached schedule before the caller admits a spillover solve. It
+// returns the first hit and the node that answered it, or nil when
+// every replica missed (204) or failed and the caller must solve.
+func (rt *Router) peekReplicas(r *http.Request, v *view, p Plan, id string, body []byte, owner *Node) (*http.Response, *Node) {
 	f := rt.f
-	for _, name := range v.ring.Sequence(key, f.cfg.Replication) {
+	for _, name := range p.Replicas {
 		n := v.byName[name]
-		if n == nil || n == owner || !n.Healthy() {
+		if n == owner || !n.Healthy() {
 			continue
 		}
 		f.replicaPeeks.Inc()
@@ -400,13 +344,12 @@ func (rt *Router) peekReplicas(w http.ResponseWriter, r *http.Request, v *view, 
 		}
 		if resp.StatusCode == http.StatusOK {
 			f.replicaHits.Inc()
-			rt.relay(w, resp, n, owner, "replica-hit")
-			return true
+			return resp, n
 		}
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
 		resp.Body.Close()
 	}
-	return false
+	return nil, nil
 }
 
 // retryAfter reads a refusal's backoff hint (delay-seconds form; the
@@ -438,127 +381,35 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Split the batch by each row's affinity owner so every sub-batch
-	// lands where its cache entries live, then reassemble in request
-	// order. Rows that cannot route (nil/invalid) fail locally with the
-	// same wording a backend would use.
-	resp := &api.BatchResponse{Results: make([]*api.BatchResult, len(req.Instances)), RequestID: id}
-	type group struct {
-		key     uint64 // first row's canonical key: routes the sub-batch
-		rows    []int  // original indices, in request order
-		sub     api.BatchRequest
-		nodeKey string
-	}
-	groups := map[string]*group{}
-	var orderedGroups []*group
-	for i, inst := range req.Instances {
-		if inst == nil {
-			resp.Results[i] = &api.BatchResult{Error: "missing instance"}
-			continue
-		}
-		if err := inst.Validate(); err != nil {
-			resp.Results[i] = &api.BatchResult{Error: err.Error()}
-			continue
-		}
-		key := rs.cs.Canonicalize(inst).Key
-		ownerName := rt.f.view.Load().ring.Owner(key)
-		g := groups[ownerName]
-		if g == nil {
-			g = &group{key: key, nodeKey: ownerName, sub: api.BatchRequest{SolveOptions: req.SolveOptions}}
-			groups[ownerName] = g
-			orderedGroups = append(orderedGroups, g)
-		}
-		g.rows = append(g.rows, i)
-		g.sub.Instances = append(g.sub.Instances, inst)
-	}
-
-	var wg sync.WaitGroup
-	var mu sync.Mutex // guards resp.Results scatter
-	for gi, g := range orderedGroups {
-		wg.Add(1)
-		go func(gi int, g *group) {
-			defer wg.Done()
-			results, err := rt.routeSubBatch(r, g.key, fmt.Sprintf("%s.g%d", id, gi), &g.sub)
-			mu.Lock()
-			defer mu.Unlock()
-			for ri, row := range g.rows {
-				switch {
-				case err != nil:
-					resp.Results[row] = &api.BatchResult{Error: err.Error()}
-				case ri < len(results) && results[ri] != nil:
-					resp.Results[row] = results[ri]
-				default:
-					resp.Results[row] = &api.BatchResult{Error: "backend returned no result for row"}
-				}
-			}
-		}(gi, g)
-	}
-	wg.Wait()
-	writeJSON(w, http.StatusOK, resp)
+	v := rt.f.view.Load()
+	split := SplitBatch(v.ring, &req, &rs.cs, v.healthy)
+	results := split.Run(id, func(g *Group, gid string) ([]*api.BatchResult, error) {
+		return rt.routeSubBatch(r, v, g, gid)
+	})
+	writeJSON(w, http.StatusOK, &api.BatchResponse{Results: results, RequestID: id})
 }
 
-// routeSubBatch forwards one per-owner sub-batch with the same
-// candidate walk as route, returning the backend's row results.
-func (rt *Router) routeSubBatch(r *http.Request, key uint64, id string, sub *api.BatchRequest) ([]*api.BatchResult, error) {
-	f := rt.f
-	body, err := json.Marshal(sub)
+// routeSubBatch forwards one per-owner sub-batch along its plan,
+// returning the backend's row results.
+func (rt *Router) routeSubBatch(r *http.Request, v *view, g *Group, id string) ([]*api.BatchResult, error) {
+	body, err := json.Marshal(&g.Sub)
 	if err != nil {
 		return nil, fmt.Errorf("encoding sub-batch: %w", err)
 	}
-	owner, order := rt.candidates(f.view.Load(), key)
-	if len(order) == 0 {
-		f.exhausted.Inc()
-		return nil, errors.New("fleet has no nodes")
+	resp, n, _, _, err := rt.walk(r, v, g.Plan, "/v1/batch", id, body, false)
+	if err != nil {
+		return nil, err
 	}
-	var spillReason string
-	if owner != nil && !owner.Healthy() {
-		spillReason = SpillUnhealthy
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
+		return nil, fmt.Errorf("node %s: status %d: %s", n.Name, resp.StatusCode, bytes.TrimSpace(raw))
 	}
-	var lastErr error
-	for _, n := range order {
-		resp, err := rt.forward(r, n, "/v1/batch", id, body, owner,
-			routeLabel(f.policy.Name(), n, owner, spillReason), false)
-		if err != nil {
-			lastErr = err
-			if n == owner && spillReason == "" {
-				spillReason = SpillError
-			}
-			continue
-		}
-		if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-			resp.Body.Close()
-			lastErr = fmt.Errorf("node %s refused with %d", n.Name, resp.StatusCode)
-			if n == owner && spillReason == "" {
-				if resp.StatusCode == http.StatusTooManyRequests {
-					spillReason = SpillShed
-				} else {
-					spillReason = SpillError
-				}
-			}
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			raw, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
-			resp.Body.Close()
-			return nil, fmt.Errorf("node %s: status %d: %s", n.Name, resp.StatusCode, bytes.TrimSpace(raw))
-		}
-		var out api.BatchResponse
-		err = json.NewDecoder(resp.Body).Decode(&out)
-		resp.Body.Close()
-		if err != nil {
-			return nil, fmt.Errorf("decoding node %s batch response: %w", n.Name, err)
-		}
-		if n != owner && spillReason != "" {
-			f.spillCount(spillReason)
-		}
-		return out.Results, nil
+	var out api.BatchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		return nil, fmt.Errorf("decoding node %s batch response: %w", n.Name, err)
 	}
-	f.exhausted.Inc()
-	if spillReason != "" {
-		f.spillCount(spillReason)
-	}
-	return nil, fmt.Errorf("all %d candidate nodes failed: %w", len(order), lastErr)
+	return out.Results, nil
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -569,7 +420,6 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	v := rt.f.view.Load()
 	fh := &api.FleetHealth{
-		Policy:        rt.f.policy.Name(),
 		RingPoints:    v.ring.Points(),
 		UptimeSeconds: time.Since(rt.start).Seconds(),
 	}

@@ -431,58 +431,6 @@ func TestBatchSplitsByOwnerAndReassembles(t *testing.T) {
 	}
 }
 
-// TestRouterPolicies: the key-oblivious policies actually move traffic
-// off the owner and label the route with the policy name.
-func TestRouterPolicies(t *testing.T) {
-	t.Run("round-robin", func(t *testing.T) {
-		_, _, router := startFleet(t, 3, nil, func(cfg *Config) { cfg.Policy = PolicyRoundRobin })
-		inst := makeInst(1)
-		nodes := map[string]bool{}
-		for i := 0; i < 6; i++ {
-			resp, _ := postSolve(t, router.URL, inst)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("solve %d: status %d", i, resp.StatusCode)
-			}
-			nodes[resp.Header.Get(HeaderNode)] = true
-			if route := resp.Header.Get(HeaderRoute); route != "affinity" && route != PolicyRoundRobin {
-				t.Fatalf("X-Fleet-Route = %q", route)
-			}
-		}
-		if len(nodes) != 3 {
-			t.Fatalf("round-robin used %d nodes over 6 requests, want 3", len(nodes))
-		}
-	})
-	t.Run("least-loaded", func(t *testing.T) {
-		backends, f, router := startFleet(t, 3, nil, func(cfg *Config) { cfg.Policy = PolicyLeastLoaded })
-		inst := makeInst(2)
-		owner := f.Owner(canon.Key(inst))
-		// Report heavy probed load everywhere except one node: the
-		// policy must steer there even though it is not the owner.
-		var lightest string
-		for _, b := range backends {
-			n := f.view.Load().byName[b.name]
-			if b.name == owner {
-				n.probedInFlight.Store(50)
-			} else if lightest == "" {
-				lightest = b.name
-				n.probedInFlight.Store(0)
-			} else {
-				n.probedInFlight.Store(50)
-			}
-		}
-		resp, _ := postSolve(t, router.URL, inst)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d", resp.StatusCode)
-		}
-		if got := resp.Header.Get(HeaderNode); got != lightest {
-			t.Fatalf("least-loaded routed to %s, want %s", got, lightest)
-		}
-		if got := resp.Header.Get(HeaderRoute); got != PolicyLeastLoaded {
-			t.Fatalf("X-Fleet-Route = %q, want %s", got, PolicyLeastLoaded)
-		}
-	})
-}
-
 // TestRouterHealthz: the fleet health view aggregates per-node health
 // into ok / degraded / down, answering 503 only when nothing can serve.
 func TestRouterHealthz(t *testing.T) {
@@ -505,7 +453,7 @@ func TestRouterHealthz(t *testing.T) {
 	if status != http.StatusOK || fh.Status != "ok" || fh.HealthyNodes != 3 || len(fh.Nodes) != 3 {
 		t.Fatalf("all-healthy: status %d, %+v", status, fh)
 	}
-	if fh.Policy != PolicyHashAffinity || fh.RingPoints != 3*DefaultReplicas {
+	if fh.RingPoints != 3*DefaultReplicas {
 		t.Fatalf("health metadata: %+v", fh)
 	}
 

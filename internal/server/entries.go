@@ -40,15 +40,6 @@ import (
 // may call it unless Config.CacheTransferOpen (ised
 // -cache-transfer-open) opts a multi-host fleet in.
 
-// HeaderPeek marks a /v1/solve forward as a cache peek: a cache hit
-// answers normally (bypassing admission as hits always do), a miss
-// answers 204 No Content instead of admitting a solve. The fleet
-// router uses it to ask a key's replicas for the cached schedule
-// before re-solving work the fleet already paid for. 204 keeps a
-// missed peek out of the error counters and the SLO error budget — a
-// miss is an answer, not a failure.
-const HeaderPeek = "X-Fleet-Peek"
-
 func (s *Server) handleCacheEntries(w http.ResponseWriter, r *http.Request) {
 	s.reqEntries.Inc()
 	arrival := s.clock.Now()

@@ -204,7 +204,7 @@ func TestSolvePeekProtocol(t *testing.T) {
 		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/solve", bytes.NewReader(buf))
 		req.Header.Set("Content-Type", "application/json")
 		req.Header.Set("X-Request-Id", id)
-		req.Header.Set(HeaderPeek, "1")
+		req.Header.Set(api.HeaderPeek, "1")
 		req.Header.Set("X-Fleet-Route", "replica-peek")
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {

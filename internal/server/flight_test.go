@@ -64,7 +64,7 @@ func TestRequestIDPropagation(t *testing.T) {
 	// A malformed ID (embedded space) is replaced by a minted one.
 	resp = postJSONWithID(t, ts.URL+"/v1/solve", "", api.SolveRequest{Instance: testInstance(1)})
 	minted := resp.Header.Get("X-Request-Id")
-	if minted == "" || !validRequestID(minted) {
+	if minted == "" || !api.ValidRequestID(minted) {
 		t.Errorf("minted ID %q not valid", minted)
 	}
 	if got := decode[api.SolveResponse](t, resp).RequestID; got != minted {

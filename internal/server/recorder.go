@@ -71,8 +71,8 @@ type Record struct {
 	// Node and FleetRoute are the fleet router's forwarded-request
 	// annotations (X-Fleet-Node, X-Fleet-Route): the name this backend
 	// has in the fleet and how the request reached it ("affinity",
-	// "spillover:<reason>", or a key-oblivious policy name). Empty on
-	// direct, un-routed traffic.
+	// "spillover:<reason>", "replica-peek"). Empty on direct, un-routed
+	// traffic.
 	Node       string `json:"node,omitempty"`
 	FleetRoute string `json:"fleet_route,omitempty"`
 	// Err is the error answered, if any.

@@ -4,6 +4,8 @@ import (
 	"net/http"
 	"sync/atomic"
 	"time"
+
+	"calib/api"
 )
 
 // Request IDs. Every /v1/solve and /v1/batch request gets one: the
@@ -36,7 +38,7 @@ func mix64(x uint64) uint64 {
 // requestID returns the request's ID: the client's X-Request-ID when
 // acceptable, a fresh mint otherwise.
 func requestID(r *http.Request) string {
-	if id := r.Header.Get("X-Request-Id"); validRequestID(id) {
+	if id := r.Header.Get("X-Request-Id"); api.ValidRequestID(id) {
 		return id
 	}
 	return keyString(reqIDBase ^ mix64(reqIDSeq.Add(1)))
@@ -50,7 +52,7 @@ func requestID(r *http.Request) string {
 // backend alone. Direct, un-routed traffic carries neither header and
 // records nothing.
 func fleetForwarded(w http.ResponseWriter, r *http.Request, rec *Record) {
-	if node := r.Header.Get("X-Fleet-Node"); validRequestID(node) {
+	if node := r.Header.Get("X-Fleet-Node"); api.ValidRequestID(node) {
 		rec.Node = node
 		w.Header().Set("X-Fleet-Node", node)
 	}
@@ -60,7 +62,7 @@ func fleetForwarded(w http.ResponseWriter, r *http.Request, rec *Record) {
 }
 
 // validFleetRoute accepts the router's route annotations: 1..64 bytes
-// of [0-9a-z:-] ("affinity", "spillover:shed", "least-loaded", ...).
+// of [0-9a-z:-] ("affinity", "spillover:shed", "replica-peek", ...).
 func validFleetRoute(route string) bool {
 	if len(route) == 0 || len(route) > 64 {
 		return false
@@ -69,25 +71,6 @@ func validFleetRoute(route string) bool {
 		c := route[i]
 		switch {
 		case c >= '0' && c <= '9', c >= 'a' && c <= 'z', c == ':', c == '-', c == '_':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// validRequestID accepts 1..128 bytes of [0-9A-Za-z._-]: enough for
-// every common ID scheme (UUIDs, ULIDs, hex) while keeping header
-// echo, log lines, and /debug/requests/{id} URLs injection-free.
-func validRequestID(id string) bool {
-	if len(id) == 0 || len(id) > 128 {
-		return false
-	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		switch {
-		case c >= '0' && c <= '9', c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z',
-			c == '.', c == '_', c == '-':
 		default:
 			return false
 		}

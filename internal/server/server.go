@@ -417,7 +417,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		ctx = context.WithValue(ctx, traceSpanKey{}, sp)
 		defer sp.End()
 	}
-	status, err := s.solveOne(ctx, inst, rs.req.SolveOptions, rs, r.Header.Get(HeaderPeek) != "")
+	status, err := s.solveOne(ctx, inst, rs.req.SolveOptions, rs, r.Header.Get(api.HeaderPeek) != "")
 	if err != nil {
 		s.finish(w, rs, s.errSolve, status, err, arrival)
 		return
@@ -472,7 +472,7 @@ var errShed = errors.New("service saturated: admission control refused the solve
 // solveOne runs the full pipeline for a single instance, filling
 // rs.resp on success; otherwise it returns an HTTP status plus error.
 // Canonicalization runs in rs's arena, so the canonical form is only
-// valid within this call. peek (the HeaderPeek protocol) turns a cache
+// valid within this call. peek (the api.HeaderPeek protocol) turns a cache
 // miss into a 204 answer instead of a solve.
 func (s *Server) solveOne(ctx context.Context, inst *calib.Instance, o api.SolveOptions, rs *reqScratch, peek bool) (int, error) {
 	rec := &rs.rec

@@ -5,8 +5,8 @@
 #   1. boot three ised backends and one isedfleet router over them
 #      (all via the -addr-file handshake, roster from a watched JSON
 #      file);
-#   2. the router's /v1/healthz reports 3 healthy nodes under the
-#      hash-affinity policy;
+#   2. the router's /v1/healthz reports 3 healthy nodes on a ring of
+#      3 x 128 virtual points;
 #   3. a solve through the router lands on exactly one backend
 #      (X-Fleet-Node), and the identical re-solve is a cache hit on
 #      the SAME backend — cache affinity over HTTP, not just in tests;
@@ -113,7 +113,7 @@ echo "fleet_smoke: router on $BASE over n1=$B1 n2=$B2 n3=$B3"
 curl -sf "$BASE/v1/healthz" >"$WORK/health.json"
 grep -q '"status": "ok"' "$WORK/health.json" || fail "healthz not ok: $(cat "$WORK/health.json")"
 grep -q '"healthy_nodes": 3' "$WORK/health.json" || fail "healthz not 3 nodes: $(cat "$WORK/health.json")"
-grep -q '"policy": "hash-affinity"' "$WORK/health.json" || fail "unexpected policy"
+grep -q '"ring_points": 384' "$WORK/health.json" || fail "healthz ring_points not 3 nodes x 128: $(cat "$WORK/health.json")"
 
 # --- cache affinity over HTTP ----------------------------------------
 "$WORK/isegen" -family mixed -n 16 -m 2 -seed 7 >"$WORK/inst.json"
