@@ -132,14 +132,13 @@ func (b MMBox) solver() mm.Solver {
 }
 
 // Options configures Solve. The zero value (or nil) selects the
-// paper-faithful defaults: greedy MM box, float64 LP engine, no
-// trimming.
+// paper-faithful defaults: greedy MM box, no trimming. The long-window
+// LP always runs on the float64 dense tableau with every pair row
+// built up front (see DESIGN.md §5 for why that is the production
+// path).
 type Options struct {
 	// MMBox selects the short-window black box.
 	MMBox MMBox
-	// ExactLP switches the long-window LP to exact rational
-	// arithmetic (slower; bit-exact objective).
-	ExactLP bool
 	// TrimIdleCalibrations drops short-window calibrations that host
 	// no job — a feasibility-preserving optimization beyond the paper.
 	TrimIdleCalibrations bool
@@ -155,14 +154,6 @@ type Options struct {
 	// padding. Beyond the paper; the approximation guarantee is
 	// unaffected (the result only gets better).
 	LocalSearch bool
-	// WarmStart switches the long-window LP to the hot path: the
-	// bounded-variable revised simplex with lazy pair-cut separation
-	// and basis reuse across re-solves (see internal/lp and
-	// internal/tise). Same optimum as the default dense engine — the
-	// test suite cross-checks the objectives to 1e-6 — but much less
-	// work per solve on wide-window instances. Ignored when ExactLP is
-	// set (rational arithmetic has no warm-start path).
-	WarmStart bool
 	// Parallelism > 0 decomposes the instance at time gaps of at least
 	// T (no calibration can span such a gap, so the optimum splits
 	// exactly; see internal/decomp) and solves the components
@@ -176,9 +167,9 @@ type Options struct {
 	// returns. See docs/OBSERVABILITY.md for the span taxonomy.
 	Trace *Trace
 	// Metrics, when non-nil, accumulates the solver counter series
-	// (LP pivots, warm-start hits, cut rounds, pool occupancy, ...);
-	// export with Metrics.WriteJSON or Metrics.WritePrometheus. Both
-	// default to nil — telemetry off, at zero allocation cost.
+	// (LP pivots, cut rounds, pool occupancy, ...); export with
+	// Metrics.WriteJSON or Metrics.WritePrometheus. Both default to
+	// nil — telemetry off, at zero allocation cost.
 	Metrics *Metrics
 	// Context, when non-nil, cancels the solve: Solve returns
 	// ErrCanceled (hard cancel) or ErrDeadline (context deadline)
@@ -245,6 +236,22 @@ func (o *Options) control() (*robust.Control, context.CancelFunc) {
 	return robust.NewControl(ctx, o.Budget, met), cancel
 }
 
+// coreOptions translates the Options into the pipeline's options,
+// shared by Solve and SolveRobust.
+func (o *Options) coreOptions(ctl *robust.Control) core.Options {
+	return core.Options{
+		MM:          o.MMBox.solver(),
+		Engine:      tise.Float64,
+		Strategy:    tise.Direct,
+		TrimIdle:    o.TrimIdleCalibrations,
+		Parallelism: o.Parallelism,
+		Trace:       o.Trace,
+		Metrics:     o.Metrics,
+		Control:     ctl,
+		Fault:       o.Fault,
+	}
+}
+
 // Trace is a hierarchical span recorder for one solve; create with
 // NewTrace and pass via Options.Trace.
 type Trace = obs.Trace
@@ -289,28 +296,9 @@ func Solve(inst *Instance, opts *Options) (*Solution, error) {
 	if opts != nil {
 		o = *opts
 	}
-	engine := tise.Float64
-	strategy := tise.Direct
-	switch {
-	case o.ExactLP:
-		engine = tise.Rational
-	case o.WarmStart:
-		engine = tise.Revised
-		strategy = tise.Bounded
-	}
 	ctl, cancel := o.control()
 	defer cancel()
-	res, err := core.Solve(inst, core.Options{
-		MM:          o.MMBox.solver(),
-		Engine:      engine,
-		Strategy:    strategy,
-		TrimIdle:    o.TrimIdleCalibrations,
-		Parallelism: o.Parallelism,
-		Trace:       o.Trace,
-		Metrics:     o.Metrics,
-		Control:     ctl,
-		Fault:       o.Fault,
-	})
+	res, err := core.Solve(inst, o.coreOptions(ctl))
 	if err != nil {
 		return nil, err
 	}
@@ -412,28 +400,9 @@ func SolveRobust(inst *Instance, opts *Options) (*RobustSolution, error) {
 	if opts != nil {
 		o = *opts
 	}
-	engine := tise.Float64
-	strategy := tise.Direct
-	switch {
-	case o.ExactLP:
-		engine = tise.Rational
-	case o.WarmStart:
-		engine = tise.Revised
-		strategy = tise.Bounded
-	}
 	ctl, cancel := o.control()
 	defer cancel()
-	res, err := core.SolveRobust(inst, core.RobustOptions{Options: core.Options{
-		MM:          o.MMBox.solver(),
-		Engine:      engine,
-		Strategy:    strategy,
-		TrimIdle:    o.TrimIdleCalibrations,
-		Parallelism: o.Parallelism,
-		Trace:       o.Trace,
-		Metrics:     o.Metrics,
-		Control:     ctl,
-		Fault:       o.Fault,
-	}})
+	res, err := core.SolveRobust(inst, core.RobustOptions{Options: o.coreOptions(ctl)})
 	if err != nil {
 		return nil, err
 	}
@@ -487,16 +456,8 @@ type SpeedSolution struct {
 // machines→speed transformation (Theorem 14): at most inst.M machines,
 // each 36x faster, and at most 12 times the optimal number of
 // calibrations. All jobs must have long windows (d_j - r_j >= 2T).
-func SolveWithSpeed(inst *Instance, opts *Options) (*SpeedSolution, error) {
-	var o Options
-	if opts != nil {
-		o = *opts
-	}
-	engine := tise.Float64
-	if o.ExactLP {
-		engine = tise.Rational
-	}
-	res, err := tise.SolveWithSpeed(inst, tise.Options{Engine: engine})
+func SolveWithSpeed(inst *Instance) (*SpeedSolution, error) {
+	res, err := tise.SolveWithSpeed(inst, tise.Options{})
 	if err != nil {
 		return nil, err
 	}

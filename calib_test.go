@@ -34,7 +34,6 @@ func TestAllBoxesAndOptions(t *testing.T) {
 		nil,
 		{MMBox: calib.MMExact},
 		{MMBox: calib.MMLPRound},
-		{ExactLP: true},
 		{TrimIdleCalibrations: true},
 	} {
 		sol, err := calib.Solve(inst, opts)
@@ -50,7 +49,7 @@ func TestAllBoxesAndOptions(t *testing.T) {
 func TestSolveWithSpeedFacade(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	inst, _ := workload.Long(rng, 6, 1, 10)
-	sol, err := calib.SolveWithSpeed(inst, nil)
+	sol, err := calib.SolveWithSpeed(inst)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,10 +68,6 @@ func TestCancelConformance(t *testing.T) {
 			_, err := calib.Solve(hardLong(t), &calib.Options{Context: ctx})
 			return err
 		}},
-		{"calib.Solve/warm", func(ctx context.Context) error {
-			_, err := calib.Solve(hardLong(t), &calib.Options{Context: ctx, WarmStart: true})
-			return err
-		}},
 		{"calib.SolveRobust", func(ctx context.Context) error {
 			// A hard cancel (not a deadline) must abort the ladder, not
 			// degrade through it.

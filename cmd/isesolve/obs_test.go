@@ -20,7 +20,7 @@ const telemetryFixture = `{"t": 10, "m": 2, "jobs": [
 
 func TestRunTraceAndMetricsFlags(t *testing.T) {
 	var out, errBuf bytes.Buffer
-	err := run([]string{"-warm", "-trace", "-metrics"},
+	err := run([]string{"-trace", "-metrics"},
 		strings.NewReader(telemetryFixture), &out, &errBuf)
 	if err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, errBuf.String())
@@ -46,7 +46,7 @@ func TestRunTelemetryFileOutputs(t *testing.T) {
 	traceFile := filepath.Join(dir, "trace.json")
 	metricsFile := filepath.Join(dir, "metrics.json")
 	var out, errBuf bytes.Buffer
-	err := run([]string{"-warm", "-trace-json", traceFile, "-metrics-out", metricsFile},
+	err := run([]string{"-trace-json", traceFile, "-metrics-out", metricsFile},
 		strings.NewReader(telemetryFixture), &out, &errBuf)
 	if err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, errBuf.String())
@@ -84,7 +84,7 @@ func TestRunTelemetryFileOutputs(t *testing.T) {
 // level: no telemetry flags, no telemetry output.
 func TestRunQuietWithoutFlags(t *testing.T) {
 	var out, errBuf bytes.Buffer
-	err := run([]string{"-warm"}, strings.NewReader(telemetryFixture), &out, &errBuf)
+	err := run(nil, strings.NewReader(telemetryFixture), &out, &errBuf)
 	if err != nil {
 		t.Fatal(err)
 	}

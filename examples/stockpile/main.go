@@ -63,7 +63,7 @@ func main() {
 	// campaign is long-window and Theorem 14 applies: fold the
 	// machine-augmented schedule onto the 3 machines the lab actually
 	// owns, run 36x faster, with no extra calibrations.
-	fast, err := calib.SolveWithSpeed(inst, nil)
+	fast, err := calib.SolveWithSpeed(inst)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func main() {
 	}
 
 	// Form 2: speed augmentation (Theorem 14).
-	fast, err := calib.SolveWithSpeed(inst, nil)
+	fast, err := calib.SolveWithSpeed(inst)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package calib_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"math/rand"
 	"testing"
 
@@ -126,5 +128,61 @@ func TestLazyVsPipelineQuality(t *testing.T) {
 	}
 	if lazyWins < trials/2 {
 		t.Errorf("lazy heuristic won only %d/%d — regression in heuristic quality?", lazyWins, trials)
+	}
+}
+
+// TestProductionLPPath pins the one LP path production runs: on a
+// gap-free long-window instance too large for the exact rung, the LP
+// rung answers, and every lp span it traces is the float64 dense
+// tableau with all pair rows built directly.
+func TestProductionLPPath(t *testing.T) {
+	inst := calib.NewInstance(10, 2)
+	for j := 0; j < 16; j++ {
+		r := calib.Time(3 * j)
+		inst.AddJob(r, r+40, calib.Time(3+j%4))
+	}
+	tr := calib.NewTrace("solve")
+	sol, err := calib.SolveRobust(inst, &calib.Options{Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	if err := calib.Validate(inst, sol.Schedule); err != nil {
+		t.Fatal(err)
+	}
+	if sol.Components != 1 || sol.RungSummary() != "lp" {
+		t.Fatalf("components %d answered by %q, want one component answered by lp", sol.Components, sol.RungSummary())
+	}
+	var js bytes.Buffer
+	if err := tr.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	type span struct {
+		Name     string         `json:"name"`
+		Attrs    map[string]any `json:"attrs"`
+		Children []span         `json:"children"`
+	}
+	var root span
+	if err := json.Unmarshal(js.Bytes(), &root); err != nil {
+		t.Fatalf("trace JSON does not parse: %v\n%s", err, js.String())
+	}
+	var lps []map[string]any
+	var walk func(s span)
+	walk = func(s span) {
+		if s.Name == "lp" {
+			lps = append(lps, s.Attrs)
+		}
+		for _, c := range s.Children {
+			walk(c)
+		}
+	}
+	walk(root)
+	if len(lps) == 0 {
+		t.Fatalf("no lp span in the trace:\n%s", js.String())
+	}
+	for i, a := range lps {
+		if a["engine"] != "float64" || a["strategy"] != "direct" {
+			t.Errorf("lp span %d: engine=%v strategy=%v, want engine=float64 strategy=direct", i, a["engine"], a["strategy"])
+		}
 	}
 }

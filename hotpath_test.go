@@ -5,11 +5,15 @@ import (
 	"testing"
 
 	"calib"
+	"calib/internal/core"
+	"calib/internal/tise"
 	"calib/internal/workload"
 )
 
-// TestWarmStartOption: the bounded/warm-started hot path must agree
-// with the default pipeline on feasibility and LP objective.
+// TestWarmStartOption: the warm-started LP path (revised engine,
+// bounded strategy, selected through core.Options) must agree with the
+// facade's default pipeline on feasibility and LP objective, monolithic
+// and decomposed. BenchmarkT1LongWindowN40 times this path.
 func TestWarmStartOption(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 4; trial++ {
@@ -18,34 +22,18 @@ func TestWarmStartOption(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d default: %v", trial, err)
 		}
-		fast, err := calib.Solve(inst, &calib.Options{WarmStart: true})
-		if err != nil {
-			t.Fatalf("trial %d warm: %v", trial, err)
+		for _, par := range []int{0, 4} {
+			fast, err := core.Solve(inst, core.Options{Parallelism: par, Engine: tise.Revised, Strategy: tise.Bounded})
+			if err != nil {
+				t.Fatalf("trial %d par %d warm: %v", trial, par, err)
+			}
+			if err := calib.Validate(inst, fast.Schedule); err != nil {
+				t.Fatalf("trial %d par %d: warm schedule infeasible: %v", trial, par, err)
+			}
+			if d := slow.LPObjective - fast.LPObjective; d > 1e-6 || d < -1e-6 {
+				t.Fatalf("trial %d par %d: LP objective default %v != warm %v", trial, par, slow.LPObjective, fast.LPObjective)
+			}
 		}
-		if err := calib.Validate(inst, fast.Schedule); err != nil {
-			t.Fatalf("trial %d: warm schedule infeasible: %v", trial, err)
-		}
-		if d := slow.LPObjective - fast.LPObjective; d > 1e-6 || d < -1e-6 {
-			t.Fatalf("trial %d: LP objective default %v != warm %v", trial, slow.LPObjective, fast.LPObjective)
-		}
-	}
-}
-
-// TestWarmStartExactLPPrecedence: ExactLP keeps the rational engine
-// even when WarmStart is also set.
-func TestWarmStartExactLPPrecedence(t *testing.T) {
-	rng := rand.New(rand.NewSource(62))
-	inst, _ := workload.Long(rng, 6, 1, 8)
-	both, err := calib.Solve(inst, &calib.Options{ExactLP: true, WarmStart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := calib.Solve(inst, &calib.Options{ExactLP: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if both.LPObjective != exact.LPObjective {
-		t.Fatalf("ExactLP+WarmStart objective %v != ExactLP %v", both.LPObjective, exact.LPObjective)
 	}
 }
 
@@ -60,7 +48,7 @@ func TestParallelismOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 4} {
-		sol, err := calib.Solve(inst, &calib.Options{Parallelism: par, WarmStart: true})
+		sol, err := calib.Solve(inst, &calib.Options{Parallelism: par})
 		if err != nil {
 			t.Fatalf("par %d: %v", par, err)
 		}

@@ -35,7 +35,7 @@ type Plan struct {
 // NewPlan walks ring once for key. healthy reports whether a node is
 // routable; nil accepts every node.
 func NewPlan(ring *Ring, key uint64, replication int, healthy func(name string) bool) Plan {
-	seq := ring.Sequence(key, 0)
+	seq := ring.Sequence(key)
 	if len(seq) == 0 {
 		return Plan{}
 	}

@@ -143,18 +143,15 @@ func (r *Ring) start(key uint64) int {
 	return i
 }
 
-// Sequence returns up to n distinct nodes in ring order starting at
-// key's owner: the replica preference order for failover (owner first,
-// then the nodes that would inherit the key if the ones before them
-// vanished). n <= 0 or n > Len() returns all nodes. The result is
-// freshly allocated.
-func (r *Ring) Sequence(key uint64, n int) []string {
+// Sequence returns every node once, in ring order starting at key's
+// owner: the replica preference order for failover (owner first, then
+// the nodes that would inherit the key if the ones before them
+// vanished). The result is freshly allocated.
+func (r *Ring) Sequence(key uint64) []string {
 	if len(r.points) == 0 {
 		return nil
 	}
-	if n <= 0 || n > len(r.names) {
-		n = len(r.names)
-	}
+	n := len(r.names)
 	out := make([]string, 0, n)
 	seen := make(map[string]struct{}, n)
 	for i, taken := r.start(key), 0; taken < len(r.points); i, taken = (i+1)%len(r.points), taken+1 {

@@ -293,9 +293,6 @@ func TestCacheHitRecordBypassesAdmission(t *testing.T) {
 	if miss.Admission != "admitted" || miss.Cache != "leader" {
 		t.Errorf("miss record = admission %q cache %q, want admitted/leader", miss.Admission, miss.Cache)
 	}
-	if miss.Warm != "cold" {
-		t.Errorf("miss warm = %q, want cold (no WarmStart configured)", miss.Warm)
-	}
 
 	hit, ok := srv.flight.Get("hit-1")
 	if !ok {
@@ -304,8 +301,8 @@ func TestCacheHitRecordBypassesAdmission(t *testing.T) {
 	if hit.Admission != "bypass" {
 		t.Errorf("hit admission = %q, want bypass (cache hits must not touch admission)", hit.Admission)
 	}
-	if hit.Cache != "hit" || hit.Warm != "cache" {
-		t.Errorf("hit record = cache %q warm %q", hit.Cache, hit.Warm)
+	if hit.Cache != "hit" {
+		t.Errorf("hit record cache = %q, want hit", hit.Cache)
 	}
 	if hit.QueueNS != 0 {
 		t.Errorf("hit queued for %dns; hits must not wait for admission", hit.QueueNS)

@@ -40,12 +40,10 @@ type Record struct {
 	Admission string `json:"admission,omitempty"`
 	// Key is the canonical instance key (hex), as in SolveResponse.Key.
 	Key string `json:"key,omitempty"`
-	// Cache is the singleflight role: "hit", "leader", or "follower".
+	// Cache is the singleflight role: "hit", "leader" (solved cold),
+	// "follower" (waited on a concurrent identical solve), or
+	// "peek-miss".
 	Cache string `json:"cache,omitempty"`
-	// Warm says where warmth came from: "cache" (hit), "singleflight"
-	// (follower of a concurrent identical solve), "lp_basis" (leader
-	// solve with LP warm-start enabled), or "cold".
-	Warm string `json:"warm,omitempty"`
 	// Rung is the robust ladder's answering rung summary ("exact,lp").
 	Rung string `json:"rung,omitempty"`
 	// Falls lists "rung:reason" ladder falls, component order.
@@ -53,12 +51,9 @@ type Record struct {
 	// Degraded and Exact mirror the response flags.
 	Degraded bool `json:"degraded,omitempty"`
 	Exact    bool `json:"exact,omitempty"`
-	// LURefactors is the number of mid-solve LU refactorizations
-	// observed during this request's leader solve (a registry-delta
-	// sample: approximate when solves overlap).
-	LURefactors int64 `json:"lu_refactors,omitempty"`
 	// Faults lists "point:count" fault injections observed during the
-	// leader solve (same registry-delta caveat).
+	// leader solve (a registry-delta sample: approximate when solves
+	// overlap).
 	Faults []string `json:"faults,omitempty"`
 	// TimeoutMS and Budget are the request's effective solve limits.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`

@@ -86,10 +86,6 @@ type Config struct {
 	RetryAfter time.Duration
 	// MaxBody bounds request bodies in bytes (0 = 16 MiB).
 	MaxBody int64
-	// WarmStart and Parallelism configure the underlying solver (see
-	// calib.Options).
-	WarmStart   bool
-	Parallelism int
 	// Metrics receives the service_*, cache_* and solver series
 	// (nil = a private registry, so gauges still work).
 	Metrics *obs.Registry
@@ -199,10 +195,9 @@ type Server struct {
 	// Replication receiver counters (/v1/cache/entries inserts).
 	replStored, replSkipped, replRejected *obs.Counter
 
-	// luRefactors and faultCounters are the labeled series delta-sampled
-	// around leader solves to attribute LU refactorizations and injected
-	// faults to individual requests (resolved once here, same reason).
-	luRefactors   []*obs.Counter
+	// faultCounters are the labeled series delta-sampled around leader
+	// solves to attribute injected faults to individual requests
+	// (resolved once here, same reason).
 	faultNames    []string
 	faultCounters []*obs.Counter
 }
@@ -285,9 +280,6 @@ func New(cfg Config) *Server {
 	}
 	s.tlog = cfg.TraceLog
 	s.slo = newSLO(cfg.SLOObjective, cfg.SLOThreshold, cfg.Metrics, cfg.Clock)
-	for _, reason := range []string{"eta_limit", "fill_in", "instability"} {
-		s.luRefactors = append(s.luRefactors, cfg.Metrics.CounterWith(obs.MLPLURefactor, "reason", reason))
-	}
 	if cfg.Fault != nil {
 		for _, p := range fault.Points {
 			s.faultNames = append(s.faultNames, string(p))
@@ -302,16 +294,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/debug/requests", s.handleDebugRequests)
 	s.mux.HandleFunc("/debug/requests/", s.handleDebugRequests)
 	return s
-}
-
-// luTotal sums the labeled LU-refactorization counters; sampled before
-// and after a leader solve to attribute refactorizations to a request.
-func (s *Server) luTotal() int64 {
-	var n int64
-	for _, c := range s.luRefactors {
-		n += c.Value()
-	}
-	return n
 }
 
 // ServeHTTP implements http.Handler.
@@ -337,13 +319,11 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // still answers any singleflight waiters.
 func (s *Server) defaultSolve(ctx context.Context, inst *ise.Instance, timeout time.Duration, budget int64) (*Result, error) {
 	o := &calib.Options{
-		WarmStart:   s.cfg.WarmStart,
-		Parallelism: s.cfg.Parallelism,
-		Metrics:     s.cfg.Metrics,
-		Context:     ctx,
-		Timeout:     timeout,
-		Budget:      budget,
-		Fault:       s.cfg.Fault,
+		Metrics: s.cfg.Metrics,
+		Context: ctx,
+		Timeout: timeout,
+		Budget:  budget,
+		Fault:   s.cfg.Fault,
 	}
 	if sp, ok := ctx.Value(traceSpanKey{}).(*obs.Span); ok {
 		// Hang the solver's span tree under the request span, so
@@ -489,7 +469,6 @@ func (s *Server) solveOne(ctx context.Context, inst *calib.Instance, o api.Solve
 		// "hit" with Admission "bypass" and zero queue time.
 		rec.Admission = "bypass"
 		rec.Cache = cache.RoleHit.String()
-		rec.Warm = "cache"
 		if peek {
 			// A peek that hit is the fleet's replica-hit event; stamp it
 			// so ?route=replica-hit filters find it on the backend too.
@@ -525,10 +504,9 @@ func (s *Server) solveOne(ctx context.Context, inst *calib.Instance, o api.Solve
 	rec.Budget = budget
 	solveT := s.clock.Now()
 	res, role, err := s.cache.DoRole(c.Key, func() (*Result, error) {
-		// Delta-sample the LU-refactorization and fault counters around
-		// the solve to attribute them to this request (approximate when
-		// solves overlap; exact in the common serial case).
-		lu0 := s.luTotal()
+		// Delta-sample the fault counters around the solve to attribute
+		// injections to this request (approximate when solves overlap;
+		// exact in the common serial case).
 		var f0 []int64
 		if len(s.faultCounters) > 0 {
 			f0 = make([]int64, len(s.faultCounters))
@@ -538,9 +516,8 @@ func (s *Server) solveOne(ctx context.Context, inst *calib.Instance, o api.Solve
 		}
 		// The canonical instance lives in pooled scratch; clone it so
 		// the solver cannot retain memory the pool will hand to the
-		// next request (warm-start state outlives this call).
+		// next request.
 		r, err := s.solve(context.WithoutCancel(ctx), c.Instance.Clone(), timeout, budget)
-		rec.LURefactors = s.luTotal() - lu0
 		for i, fc := range s.faultCounters {
 			if d := fc.Value() - f0[i]; d > 0 {
 				rec.Faults = append(rec.Faults, s.faultNames[i]+":"+strconv.FormatInt(d, 10))
@@ -550,16 +527,6 @@ func (s *Server) solveOne(ctx context.Context, inst *calib.Instance, o api.Solve
 	})
 	rec.SolveNS = int64(s.clock.Since(solveT))
 	rec.Cache = role.String()
-	switch {
-	case role == cache.RoleHit:
-		rec.Warm = "cache"
-	case role == cache.RoleFollower:
-		rec.Warm = "singleflight"
-	case s.cfg.WarmStart:
-		rec.Warm = "lp_basis"
-	default:
-		rec.Warm = "cold"
-	}
 	if err != nil {
 		return solveStatus(err), err
 	}

@@ -173,8 +173,6 @@ func runPolicy(w *Workload, pol PolicySpec, opts RunOptions) ([]outcome, int64, 
 		// timers. The bounded queue is modeled below in virtual time.
 		MaxQueue:     -1,
 		CacheEntries: cacheEntries,
-		WarmStart:    pol.WarmStart,
-		Parallelism:  1, // deterministic solver scheduling
 		Metrics:      reg,
 		Solve:        r.solveFunc,
 		TraceLog:     opts.TraceLog,
@@ -420,7 +418,6 @@ func (r *run) serve(rr *runReq) *server.Record {
 func (r *run) solveFunc(ctx context.Context, inst *ise.Instance, _ time.Duration, budget int64) (*server.Result, error) {
 	r.clock.Advance(time.Duration(r.curCost))
 	sol, err := calib.SolveRobust(inst, &calib.Options{
-		WarmStart:   r.pol.WarmStart,
 		Parallelism: 1,
 		Metrics:     r.reg,
 		Context:     ctx,

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"encoding/json"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"calib/internal/obs"
@@ -238,6 +240,31 @@ func TestSpecValidate(t *testing.T) {
 	s.Policies = nil
 	if err := s.Validate(); err == nil {
 		t.Error("spec with no policies accepted")
+	}
+}
+
+// TestLoadSpecUnknownKeys: a misspelled or retired key must fail the
+// load, naming the key, instead of running at the default; the
+// committed specs still load.
+func TestLoadSpecUnknownKeys(t *testing.T) {
+	dir := t.TempDir()
+	for key, val := range map[string]string{"max_inflght": "64", "warm_start": "true"} {
+		path := filepath.Join(dir, key+".json")
+		spec := `{"name": "k", "duration_ms": 100,
+  "classes": [{"name": "a", "arrival": {"rate_per_sec": 10}}],
+  "policies": [{"name": "p", "` + key + `": ` + val + `}]}`
+		if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadSpec(path)
+		if err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
+			t.Errorf("policy key %q: err = %v, want an unknown-field error naming it", key, err)
+		}
+	}
+	for _, name := range []string{"steady", "burst"} {
+		if _, err := LoadSpec(filepath.Join("..", "..", "testdata", "sim", name+".json")); err != nil {
+			t.Errorf("testdata spec %s: %v", name, err)
+		}
 	}
 }
 

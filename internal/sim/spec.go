@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -118,8 +119,6 @@ type PolicySpec struct {
 	// CacheEntries sizes the schedule cache (0 = server default,
 	// < 0 = disable storage).
 	CacheEntries int `json:"cache_entries"`
-	// WarmStart enables LP warm starts in the solver.
-	WarmStart bool `json:"warm_start"`
 }
 
 func (p PolicySpec) withDefaults() PolicySpec {
@@ -129,14 +128,17 @@ func (p PolicySpec) withDefaults() PolicySpec {
 	return p
 }
 
-// LoadSpec reads and validates a spec file.
+// LoadSpec reads and validates a spec file. Unknown keys are errors:
+// a misspelled knob would otherwise run silently at its default.
 func LoadSpec(path string) (*Spec, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	dec := json.NewDecoder(bytes.NewReader(buf))
+	dec.DisallowUnknownFields()
 	var s Spec
-	if err := json.Unmarshal(buf, &s); err != nil {
+	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	if err := s.Validate(); err != nil {
