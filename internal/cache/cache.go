@@ -234,8 +234,11 @@ func (c *Cache[V]) DoRole(key uint64, solve func() (V, error)) (val V, role Role
 	if el, ok := s.items[key]; ok {
 		s.lru.MoveToFront(el)
 		c.hits.Inc()
+		// Copy under the lock: put overwrites the entry's value in
+		// place when a Put or a finishing leader writes the same key.
+		val = el.Value.(*entry[V]).val
 		s.mu.Unlock()
-		return el.Value.(*entry[V]).val, RoleHit, nil
+		return val, RoleHit, nil
 	}
 	if f, ok := s.flights[key]; ok {
 		c.shared.Inc()

@@ -260,45 +260,22 @@ func injectFaults(opts Options) error {
 // it is nil outside tests and costs one predictable branch.
 var testHookComponent func(component int)
 
-// solveComponent runs one component through solveMono with panic
-// containment and component provenance: a panicking solver phase is
-// converted to a robust.ErrPanic taxonomy error (counted in
-// robust_panics_total) instead of killing the worker — which would
-// leave the pool's WaitGroup waiting forever.
-func solveComponent(i, w int, comp decomp.Component, opts Options, gamma int, parent *obs.Span, met *obs.Registry) (res *Result, err error) {
-	csp := parent.Start("component")
-	csp.SetInt("index", int64(i))
-	csp.SetInt("worker", int64(w))
-	defer csp.End()
-	defer robust.RecoverTo(&err, "pool", i, met)
-	if testHookComponent != nil {
-		testHookComponent(i)
-	}
-	res, err = solveMono(comp.Inst, opts, gamma, csp, met)
-	if err != nil {
-		err = robust.Componentize(err, i)
-	}
-	return res, err
-}
-
-// solveDecomposed solves each time component with solveMono on a
-// bounded worker pool and merges the component schedules on disjoint
-// machine blocks in component order, so the output is deterministic
-// regardless of worker interleaving.
+// runPool runs solve once per component on a bounded worker pool: up
+// to parallelism workers (at least one, at most one per component).
+// It is the only pool, shared by Solve's decomposed path and
+// SolveRobust. solve stores its own answer; runPool returns the first
+// error in component order, so the outcome does not depend on worker
+// interleaving.
 //
 // The task channel is buffered to the full component count and filled
 // before the workers start: the feeder can never block, so even if
 // every worker died the pool would still unwind (the per-component
-// panic containment in solveComponent makes that a non-event anyway).
-func solveDecomposed(comps []decomp.Component, opts Options, gamma int, parent *obs.Span, met *obs.Registry) (*Result, error) {
-	workers := opts.Parallelism
-	if workers > len(comps) {
-		workers = len(comps)
-	}
-	results := make([]*Result, len(comps))
-	errs := make([]error, len(comps))
-	tasks := make(chan int, len(comps))
-	for i := range comps {
+// panic containment in poolTask makes that a non-event anyway).
+func runPool(components, parallelism int, parent *obs.Span, met *obs.Registry, solve func(i int, csp *obs.Span) error) error {
+	workers := min(max(parallelism, 1), components)
+	errs := make([]error, components)
+	tasks := make(chan int, components)
+	for i := range components {
 		tasks <- i
 	}
 	close(tasks)
@@ -313,7 +290,7 @@ func solveDecomposed(comps []decomp.Component, opts Options, gamma int, parent *
 			for i := range tasks {
 				dispatched.Inc()
 				peak.SetMax(busy.Add(1))
-				results[i], errs[i] = solveComponent(i, w, comps[i], opts, gamma, parent, met)
+				errs[i] = poolTask(i, w, parent, met, solve)
 				busy.Add(-1)
 			}
 		}(w)
@@ -321,26 +298,68 @@ func solveDecomposed(comps []decomp.Component, opts Options, gamma int, parent *
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	agg := &Result{Components: len(comps), Parts: results}
+	return nil
+}
+
+// poolTask runs one component under its "component" span with panic
+// containment and pool provenance: a panicking solve is converted to a
+// robust.ErrPanic taxonomy error (counted in robust_panics_total)
+// instead of killing the worker — which would leave the pool's
+// WaitGroup waiting forever.
+func poolTask(i, w int, parent *obs.Span, met *obs.Registry, solve func(int, *obs.Span) error) (err error) {
+	csp := parent.Start("component")
+	csp.SetInt("index", int64(i))
+	csp.SetInt("worker", int64(w))
+	defer csp.End()
+	defer robust.RecoverTo(&err, "pool", i, met)
+	if testHookComponent != nil {
+		testHookComponent(i)
+	}
+	return solve(i, csp)
+}
+
+// mergeComponents places the component schedules (component-local job
+// IDs) on disjoint machine blocks in component order, mapping job IDs
+// back to the full instance.
+func mergeComponents(comps []decomp.Component, schedules []*ise.Schedule) *ise.Schedule {
 	merged := ise.NewSchedule(0)
 	offset := 0
-	for i, part := range results {
-		ps := part.Schedule.Clone()
+	for i, s := range schedules {
+		ps := s.Clone()
 		ps.RenumberJobs(comps[i].IDs)
 		merged.Merge(ps, offset)
 		offset += ps.Machines
+	}
+	if merged.Machines == 0 {
+		merged.Machines = 1
+	}
+	return merged
+}
+
+// solveDecomposed solves each time component with solveMono on the
+// component pool and merges the component schedules.
+func solveDecomposed(comps []decomp.Component, opts Options, gamma int, parent *obs.Span, met *obs.Registry) (*Result, error) {
+	parts := make([]*Result, len(comps))
+	err := runPool(len(comps), opts.Parallelism, parent, met, func(i int, csp *obs.Span) (err error) {
+		parts[i], err = solveMono(comps[i].Inst, opts, gamma, csp, met)
+		return robust.Componentize(err, i)
+	})
+	if err != nil {
+		return nil, err
+	}
+	agg := &Result{Components: len(comps), Parts: parts}
+	schedules := make([]*ise.Schedule, len(parts))
+	for i, part := range parts {
+		schedules[i] = part.Schedule
 		agg.LongJobs += part.LongJobs
 		agg.ShortJobs += part.ShortJobs
 		agg.LongTime += part.LongTime
 		agg.ShortTime += part.ShortTime
 		agg.LPObjective += part.LPObjective
 	}
-	if merged.Machines == 0 {
-		merged.Machines = 1
-	}
-	agg.Schedule = merged
+	agg.Schedule = mergeComponents(comps, schedules)
 	return agg, nil
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"calib/internal/decomp"
@@ -219,57 +218,27 @@ func SolveRobust(inst *ise.Instance, opts RobustOptions) (*RobustResult, error) 
 	met.Gauge(obs.MDecompComponents).Set(float64(len(comps)))
 
 	reports := make([]ComponentReport, len(comps))
-	errs := make([]error, len(comps))
-	workers := opts.Parallelism
-	if workers < 1 {
-		workers = 1
+	err := runPool(len(comps), opts.Parallelism, sp, met, func(i int, csp *obs.Span) (err error) {
+		reports[i], err = solveComponentRobust(i, comps[i], opts, gamma, csp, met)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	if workers > len(comps) {
-		workers = len(comps)
-	}
-	tasks := make(chan int, len(comps))
-	for i := range comps {
-		tasks <- i
-	}
-	close(tasks)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range tasks {
-				reports[i], errs[i] = solveComponentRobust(i, comps[i], opts, gamma, sp, met)
-			}
-		}()
-	}
-	wg.Wait()
 
 	out := &RobustResult{Components: len(comps), Exact: true}
-	merged := ise.NewSchedule(0)
-	offset := 0
-	var schedules = make([]*ise.Schedule, len(comps))
-	for i := range comps {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		schedules[i] = reports[i].schedule
-		reports[i].schedule = nil
-	}
-	for i, rep := range reports {
-		ps := schedules[i].Clone()
-		ps.RenumberJobs(comps[i].IDs)
-		merged.Merge(ps, offset)
-		offset += ps.Machines
+	schedules := make([]*ise.Schedule, len(comps))
+	for i := range reports {
+		rep := &reports[i]
+		schedules[i] = rep.schedule
+		rep.schedule = nil
 		out.LowerBound += rep.LowerBound
 		out.Exact = out.Exact && rep.Exact
 		out.Degraded = out.Degraded || len(rep.Attempts) > 0
 	}
-	if merged.Machines == 0 {
-		merged.Machines = 1
-	}
-	out.Schedule = merged
+	out.Schedule = mergeComponents(comps, schedules)
 	out.Reports = reports
-	out.UpperBound = merged.NumCalibrations()
+	out.UpperBound = out.Schedule.NumCalibrations()
 	sp.SetInt("calibrations", int64(out.UpperBound))
 	met.Histogram(obs.MSolveSeconds, nil).Observe(time.Since(t0).Seconds())
 	return out, nil
@@ -277,17 +246,10 @@ func SolveRobust(inst *ise.Instance, opts RobustOptions) (*RobustResult, error) 
 
 // solveComponentRobust descends the rung ladder for one component and
 // converts the winning rung's answer into a report. Panics anywhere in
-// a rung are contained by RunLadder; panics outside the rungs (report
-// assembly) are contained here so a pool worker can never die.
-func solveComponentRobust(i int, comp decomp.Component, opts RobustOptions, gamma int, parent *obs.Span, met *obs.Registry) (rep ComponentReport, err error) {
-	csp := parent.Start("component")
-	csp.SetInt("index", int64(i))
+// a rung are contained by RunLadder; the pool's task wrapper contains
+// the rest.
+func solveComponentRobust(i int, comp decomp.Component, opts RobustOptions, gamma int, csp *obs.Span, met *obs.Registry) (ComponentReport, error) {
 	csp.SetInt("jobs", int64(comp.Inst.N()))
-	defer csp.End()
-	defer robust.RecoverTo(&err, "pool", i, met)
-	if testHookComponent != nil {
-		testHookComponent(i)
-	}
 	res, err := robust.RunLadder(opts.Control, met, i, componentRungs(comp.Inst, opts, gamma, csp, met))
 	if err != nil {
 		return ComponentReport{Component: i}, err

@@ -29,46 +29,60 @@ func fallbackCount(met *obs.Registry) int64 {
 // TestPoolPanicContained: a panic inside one component's solve must
 // surface as a robust.ErrPanic taxonomy error carrying the component
 // index — and must not leak pool workers (the pre-fix pool deadlocked
-// the feeder and stranded every goroutine when a worker died).
+// the feeder and stranded every goroutine when a worker died). Solve's
+// decomposed path and SolveRobust share the pool; both are driven.
 func TestPoolPanicContained(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	inst, _ := workload.Clustered(rng, 3, 5, 2, 10)
-	before := runtime.NumGoroutine()
 	testHookComponent = func(component int) {
 		if component == 1 {
 			panic("injected component failure")
 		}
 	}
 	defer func() { testHookComponent = nil }()
-	done := make(chan error, 1)
-	go func() {
-		_, err := Solve(inst, Options{Parallelism: 2})
-		done <- err
-	}()
-	var err error
-	select {
-	case err = <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("pool deadlocked after component panic")
-	}
-	if err == nil {
-		t.Fatal("expected an error from the panicking component")
-	}
-	if !errors.Is(err, robust.ErrPanic) {
-		t.Fatalf("error %v is not robust.ErrPanic", err)
-	}
-	var re *robust.Error
-	if !errors.As(err, &re) || re.Component != 1 {
-		t.Fatalf("error %v does not carry component 1", err)
-	}
-	// The other components' workers must have drained and exited.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		runtime.Gosched()
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Fatalf("goroutines leaked: %d before, %d after", before, n)
+	for _, tc := range []struct {
+		name  string
+		solve func() error
+	}{
+		{"Solve", func() error {
+			_, err := Solve(inst, Options{Parallelism: 2})
+			return err
+		}},
+		{"SolveRobust", func() error {
+			_, err := SolveRobust(inst, RobustOptions{Options: Options{Parallelism: 2, Metrics: obs.NewRegistry()}})
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			done := make(chan error, 1)
+			go func() { done <- tc.solve() }()
+			var err error
+			select {
+			case err = <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("pool deadlocked after component panic")
+			}
+			if err == nil {
+				t.Fatal("expected an error from the panicking component")
+			}
+			if !errors.Is(err, robust.ErrPanic) {
+				t.Fatalf("error %v is not robust.ErrPanic", err)
+			}
+			var re *robust.Error
+			if !errors.As(err, &re) || re.Component != 1 {
+				t.Fatalf("error %v does not carry component 1", err)
+			}
+			// The other components' workers must have drained and exited.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				runtime.Gosched()
+				time.Sleep(10 * time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Fatalf("goroutines leaked: %d before, %d after", before, n)
+			}
+		})
 	}
 }
 

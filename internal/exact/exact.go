@@ -1,9 +1,11 @@
 // Package exact implements an exact branch-and-bound solver for the
 // ISE problem: it finds a schedule with the true minimum number of
 // calibrations on inst.M machines, or proves infeasibility. It is the
-// OPT oracle for the approximation-ratio experiments and a correctness
-// reference for the baselines; expect exponential time and keep n
-// small (up to ~8 jobs).
+// OPT oracle for the approximation-ratio experiments, a correctness
+// reference for the baselines, and the served ladder's first rung:
+// core.SolveRobust tries it on every time component of at most 12
+// jobs, capped at 500 000 nodes, before the LP pipeline. Expect
+// exponential time; Options.MaxNodes is what bounds a call.
 //
 // Search space: a solution's combinatorial structure is, per machine,
 // an ordered list of calibration groups, each an ordered list of jobs.
@@ -20,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"calib/internal/heur"
 	"calib/internal/ise"
@@ -94,10 +95,6 @@ type searcher struct {
 	// fails, leaving the cause in stopErr.
 	check   func(work int) error
 	stopErr error
-	// shared, when non-nil, is the incumbent bound shared between
-	// parallel workers (see SolveParallel): it is read to tighten the
-	// local bound and lowered whenever this worker improves it.
-	shared *atomic.Int64
 }
 
 // Solve finds a minimum-calibration schedule on inst.M machines.
@@ -174,20 +171,12 @@ func Solve(inst *ise.Instance, opts Options) (*Result, error) {
 // dfs inserts the job at position depth of the insertion order into
 // every feasible position.
 func (s *searcher) dfs(depth, cals int) {
-	if s.shared != nil {
-		if g := int(s.shared.Load()); g < s.bestC {
-			s.bestC = g
-		}
-	}
 	if cals >= s.bestC {
 		return
 	}
 	if depth == len(s.order) {
 		s.bestC = cals
 		s.best = deepCopy(s.machines)
-		if s.shared != nil {
-			publishBest(s.shared, cals)
-		}
 		return
 	}
 	s.nodes++

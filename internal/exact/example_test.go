@@ -23,18 +23,3 @@ func Example() {
 	// optimal calibrations: 1
 	// proven: true
 }
-
-// ExampleSolveParallel splits the branch-and-bound across workers.
-func ExampleSolveParallel() {
-	inst := ise.NewInstance(10, 2)
-	for _, p := range []ise.Time{3, 7, 4, 6} {
-		inst.AddJob(0, 10, p)
-	}
-	res, err := exact.SolveParallel(inst, exact.Options{}, 4)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("optimal calibrations:", res.Calibrations)
-	// Output:
-	// optimal calibrations: 2
-}

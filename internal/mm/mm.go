@@ -6,7 +6,7 @@
 //
 // Theorem 1 of the paper is generic over any MM approximation
 // algorithm; this package mirrors that with the Solver interface and
-// several implementations:
+// four implementations, the boxes calib.MMBox selects:
 //
 //   - Greedy: earliest-deadline list scheduling with increasing machine
 //     count — fast heuristic, the default black box;
@@ -14,7 +14,8 @@
 //     alpha = 1 box for small instances;
 //   - LPRound: time-indexed LP relaxation plus randomized rounding, in
 //     the spirit of Raghavan–Thompson as cited by the paper;
-//   - UnitEDF: exact and fast for unit processing times.
+//   - LPSearch: binary search on the machine count over LPRound's
+//     relaxation, warm-started across probes.
 package mm
 
 import (

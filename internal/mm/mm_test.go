@@ -118,45 +118,6 @@ func TestSolversOnPlanted(t *testing.T) {
 	}
 }
 
-func TestUnitEDFMatchesExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 15; trial++ {
-		inst, _ := workload.Planted(rng, workload.PlantedConfig{
-			Machines:               1 + rng.Intn(2),
-			T:                      6,
-			CalibrationsPerMachine: 1,
-			UnitJobs:               true,
-			Fill:                   0.5,
-			Window:                 workload.AnyWindow,
-		})
-		if inst.N() == 0 || inst.N() > 9 {
-			continue
-		}
-		us, err := UnitEDF{}.Solve(inst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := Validate(inst, us); err != nil {
-			t.Fatalf("trial %d: unit-edf invalid: %v", trial, err)
-		}
-		es, err := Exact{}.Solve(inst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if us.Machines != es.Machines {
-			t.Errorf("trial %d: unit-edf %d machines, exact %d", trial, us.Machines, es.Machines)
-		}
-	}
-}
-
-func TestUnitEDFRejectsNonUnit(t *testing.T) {
-	in := ise.NewInstance(10, 1)
-	in.AddJob(0, 10, 2)
-	if _, err := (UnitEDF{}).Solve(in); err == nil {
-		t.Error("non-unit job accepted")
-	}
-}
-
 func TestLPRoundLowerBoundConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	inst, _ := workload.Planted(rng, workload.PlantedConfig{
@@ -182,7 +143,7 @@ func TestLPRoundLowerBoundConsistent(t *testing.T) {
 
 func TestEmptyInstances(t *testing.T) {
 	in := ise.NewInstance(10, 1)
-	for _, sv := range []Solver{Greedy{}, Exact{}, LPRound{}, UnitEDF{}} {
+	for _, sv := range []Solver{Greedy{}, Exact{}, LPRound{}, LPSearch{}} {
 		s, err := sv.Solve(in)
 		if err != nil {
 			t.Errorf("%s on empty: %v", sv.Name(), err)
@@ -196,7 +157,7 @@ func TestEmptyInstances(t *testing.T) {
 
 func TestSolverNames(t *testing.T) {
 	names := map[string]bool{}
-	for _, sv := range []Solver{Greedy{}, Exact{}, LPRound{}, UnitEDF{}} {
+	for _, sv := range []Solver{Greedy{}, Exact{}, LPRound{}, LPSearch{}} {
 		n := sv.Name()
 		if n == "" || names[n] {
 			t.Errorf("bad or duplicate solver name %q", n)

@@ -29,8 +29,8 @@ func WithMetrics(s Solver, met *obs.Registry) Solver {
 
 // WithControl returns s configured to honor the cancellation/budget
 // control. Boxes with long-running search or LP loops (Exact, LPRound,
-// LPSearch) get the control; the combinatorial boxes (Greedy, UnitEDF)
-// run in near-linear time and pass through unchanged. A box that
+// LPSearch) get the control; the combinatorial Greedy box runs in
+// near-linear time and passes through unchanged. A box that
 // already carries a control keeps it. nil is a no-op.
 func WithControl(s Solver, ctl *robust.Control) Solver {
 	if ctl == nil {

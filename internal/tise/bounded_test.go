@@ -65,9 +65,9 @@ func TestBoundedExactAgainstRational(t *testing.T) {
 	}
 }
 
-// TestSolveLPBoundedWarmChain sweeps machine counts the way the
-// binary searches do, carrying one LPWarm through, and checks every
-// result against a cold Direct solve.
+// TestSolveLPBoundedWarmChain sweeps machine counts in a mixed order,
+// carrying one LPWarm through, and checks every result against a cold
+// Direct solve.
 func TestSolveLPBoundedWarmChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	inst, _ := workload.Long(rng, 10, 1, 12)
@@ -88,42 +88,6 @@ func TestSolveLPBoundedWarmChain(t *testing.T) {
 	}
 	if warm.Basis == nil {
 		t.Fatal("warm state carried no basis after a feasible solve")
-	}
-}
-
-// TestMinFeasibleMPrime compares the warm-started binary search with a
-// brute-force linear scan over the Direct strategy.
-func TestMinFeasibleMPrime(t *testing.T) {
-	rng := rand.New(rand.NewSource(92))
-	for trial := 0; trial < 3; trial++ {
-		inst, _ := workload.Long(rng, 7, 1, 9)
-		got, err := MinFeasibleMPrime(inst)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		want := -1
-		for m := 1; m <= inst.N(); m++ {
-			_, err := SolveLP(inst, m, Float64)
-			if err == nil {
-				want = m
-				break
-			}
-			var inf *InfeasibleError
-			if !errors.As(err, &inf) {
-				t.Fatalf("trial %d m=%d: %v", trial, m, err)
-			}
-		}
-		if got != want {
-			t.Fatalf("trial %d: MinFeasibleMPrime = %d, linear scan found %d", trial, got, want)
-		}
-	}
-}
-
-func TestMinFeasibleMPrimeEmpty(t *testing.T) {
-	in := ise.NewInstance(5, 1)
-	got, err := MinFeasibleMPrime(in)
-	if err != nil || got != 0 {
-		t.Fatalf("got %d, %v; want 0, nil", got, err)
 	}
 }
 

@@ -89,9 +89,8 @@ func (e *InfeasibleError) Error() string {
 // NumericalError reports that an LP solve ended without a verdict —
 // iteration limit or a claimed unbounded relaxation, both of which
 // signal numerical trouble rather than a property of the instance.
-// Callers probing feasibility (binary searches over machine counts)
-// must treat it differently from *InfeasibleError: the instance may
-// well be feasible.
+// Unlike *InfeasibleError it says nothing about feasibility: the
+// instance may well be feasible on the same machine count.
 type NumericalError struct {
 	MPrime int
 	Status lp.Status
@@ -237,14 +236,15 @@ func (s Strategy) String() string {
 // as violated during lazy-cut separation.
 const cutViolationTol = 1e-7
 
-// LPWarm carries reusable state across related TISE LP solves — e.g.
-// adjacent machine counts in a binary search. Basis is the final
-// simplex basis of the previous solve; Cuts lists the constraint (2)
-// rows materialized so far as (job, point-index) pairs, in the order
-// they were appended. X_jt <= C_t is valid for every machine count, so
-// both carry over when only mPrime changes: the next solve installs
-// the cuts up front (preserving row order, which keeps the basis
-// mappable) and warm-starts the revised engine from the basis.
+// LPWarm carries reusable state across SolveLPBounded calls on one
+// instance at different machine counts. Basis is the final simplex
+// basis of the previous solve; Cuts lists the constraint (2) rows
+// materialized so far as (job, point-index) pairs, in the order they
+// were appended.
+// X_jt <= C_t is valid for every machine count, so both carry over
+// when only mPrime changes: the next solve installs the cuts up front
+// (preserving row order, which keeps the basis mappable) and
+// warm-starts the revised engine from the basis.
 type LPWarm struct {
 	Basis *lp.Basis
 	Cuts  [][2]int
@@ -267,16 +267,10 @@ func SolveLPWith(inst *ise.Instance, mPrime int, engine Engine, strategy Strateg
 // SolveLPBounded runs the Bounded strategy on the revised engine with
 // cross-solve warm state. warm may be nil (no reuse); otherwise it is
 // updated in place with the final basis and cut pool so the next call
-// — typically the adjacent machine count in a binary search — resumes
+// — typically another machine count of the same instance — resumes
 // from it.
 func SolveLPBounded(inst *ise.Instance, mPrime int, warm *LPWarm) (*Fractional, error) {
 	return solveLP(inst, mPrime, Revised, Bounded, warm, obs.Default(), nil)
-}
-
-// SolveLPBoundedCtl is SolveLPBounded under a cancellation/budget
-// control (nil means no limits).
-func SolveLPBoundedCtl(inst *ise.Instance, mPrime int, warm *LPWarm, ctl *robust.Control) (*Fractional, error) {
-	return solveLP(inst, mPrime, Revised, Bounded, warm, obs.Default(), ctl)
 }
 
 func solveLP(inst *ise.Instance, mPrime int, engine Engine, strategy Strategy, warm *LPWarm, met *obs.Registry, ctl *robust.Control) (*Fractional, error) {
@@ -483,41 +477,6 @@ func solveProblem(prob *lp.Problem, engine Engine, warm *lp.Basis, met *obs.Regi
 		}
 		return sol.Status, sol.X, sol.Objective, sol.Iterations, sol.Dual, nil, nil
 	}
-}
-
-// MinFeasibleMPrime binary-searches the smallest machine count on
-// which the TISE LP relaxation of inst is feasible, warm-starting each
-// probe from the previous one's basis and cut pool. Probes that come
-// back *NumericalError abort the search; n machines are always
-// feasible (every job in its own calibration), so the search space is
-// [1, n].
-func MinFeasibleMPrime(inst *ise.Instance) (int, error) {
-	return MinFeasibleMPrimeCtl(inst, nil)
-}
-
-// MinFeasibleMPrimeCtl is MinFeasibleMPrime under a cancellation/
-// budget control: the control's limits cover the whole binary search,
-// and a tripped limit surfaces as a robust taxonomy error.
-func MinFeasibleMPrimeCtl(inst *ise.Instance, ctl *robust.Control) (int, error) {
-	n := inst.N()
-	if n == 0 {
-		return 0, nil
-	}
-	warm := &LPWarm{}
-	lo, hi := 1, n
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		_, err := SolveLPBoundedCtl(inst, mid, warm, ctl)
-		switch err.(type) {
-		case nil:
-			hi = mid
-		case *InfeasibleError:
-			lo = mid + 1
-		default:
-			return 0, err
-		}
-	}
-	return lo, nil
 }
 
 // TotalCalibrations returns the fractional calibration mass sum(C_t).

@@ -92,9 +92,12 @@ func TestTracedSolveEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDecomposedSolveMetrics exercises the parallel path: a gapped
-// instance must report its component count and fill the per-component
-// histogram once per component.
+// TestDecomposedSolveMetrics exercises the component pool through both
+// entry points that use it: a gapped instance must report its component
+// count, one pool task per component, and one component span each.
+// Solve's path also fills the per-component histogram once per
+// component; SolveRobust's exact rung answers these tiny components
+// without the LP pipeline, so it leaves that histogram alone.
 func TestDecomposedSolveMetrics(t *testing.T) {
 	inst := calib.NewInstance(10, 1)
 	// Three clusters separated by gaps > T, so decomp.Split finds
@@ -105,50 +108,84 @@ func TestDecomposedSolveMetrics(t *testing.T) {
 	inst.AddJob(105, 135, 5)
 	inst.AddJob(200, 228, 7)
 
-	tr := calib.NewTrace("solve")
-	met := calib.NewMetrics()
-	sol, err := calib.Solve(inst, &calib.Options{
-		Parallelism: 2,
-		Trace:       tr,
-		Metrics:     met,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := calib.Validate(inst, sol.Schedule); err != nil {
-		t.Fatal(err)
-	}
-	tr.Finish()
+	for _, tc := range []struct {
+		name      string
+		solve     func(*calib.Options) (*calib.Schedule, error)
+		compHists bool // expect decomp_component_seconds per component
+	}{
+		{"Solve", func(o *calib.Options) (*calib.Schedule, error) {
+			sol, err := calib.Solve(inst, o)
+			if err != nil {
+				return nil, err
+			}
+			return sol.Schedule, nil
+		}, true},
+		{"SolveRobust", func(o *calib.Options) (*calib.Schedule, error) {
+			sol, err := calib.SolveRobust(inst, o)
+			if err != nil {
+				return nil, err
+			}
+			return sol.Schedule, nil
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := calib.NewTrace("solve")
+			met := calib.NewMetrics()
+			sched, err := tc.solve(&calib.Options{
+				Parallelism: 2,
+				Trace:       tr,
+				Metrics:     met,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := calib.Validate(inst, sched); err != nil {
+				t.Fatal(err)
+			}
+			tr.Finish()
 
-	var js bytes.Buffer
-	if err := met.WriteJSON(&js); err != nil {
-		t.Fatal(err)
-	}
-	var dump map[string]any
-	if err := json.Unmarshal(js.Bytes(), &dump); err != nil {
-		t.Fatalf("metrics JSON does not parse: %v\n%s", err, js.String())
-	}
-	if v, _ := dump["decomp_components"].(float64); v != 3 {
-		t.Errorf("decomp_components = %v, want 3", dump["decomp_components"])
-	}
-	if v, _ := dump["decomp_tasks_total"].(float64); v != 3 {
-		t.Errorf("decomp_tasks_total = %v, want 3", dump["decomp_tasks_total"])
-	}
-	hist, _ := dump["decomp_component_seconds"].(map[string]any)
-	if hist == nil {
-		t.Fatalf("decomp_component_seconds is not a histogram: %v", dump["decomp_component_seconds"])
-	}
-	if c, _ := hist["count"].(float64); c != 3 {
-		t.Errorf("decomp_component_seconds count = %v, want 3", hist["count"])
-	}
-	if v, _ := dump["decomp_pool_busy_max"].(float64); v < 1 {
-		t.Errorf("decomp_pool_busy_max = %v, want >= 1", dump["decomp_pool_busy_max"])
-	}
-	var text bytes.Buffer
-	if err := tr.WriteText(&text); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(text.String(), "component"); got < 3 {
-		t.Errorf("span tree has %d component spans, want >= 3:\n%s", got, text.String())
+			var js bytes.Buffer
+			if err := met.WriteJSON(&js); err != nil {
+				t.Fatal(err)
+			}
+			var dump map[string]any
+			if err := json.Unmarshal(js.Bytes(), &dump); err != nil {
+				t.Fatalf("metrics JSON does not parse: %v\n%s", err, js.String())
+			}
+			if v, _ := dump["decomp_components"].(float64); v != 3 {
+				t.Errorf("decomp_components = %v, want 3", dump["decomp_components"])
+			}
+			if v, _ := dump["decomp_tasks_total"].(float64); v != 3 {
+				t.Errorf("decomp_tasks_total = %v, want 3", dump["decomp_tasks_total"])
+			}
+			if tc.compHists {
+				hist, _ := dump["decomp_component_seconds"].(map[string]any)
+				if hist == nil {
+					t.Fatalf("decomp_component_seconds is not a histogram: %v", dump["decomp_component_seconds"])
+				}
+				if c, _ := hist["count"].(float64); c != 3 {
+					t.Errorf("decomp_component_seconds count = %v, want 3", hist["count"])
+				}
+			}
+			if v, _ := dump["decomp_pool_busy_max"].(float64); v < 1 {
+				t.Errorf("decomp_pool_busy_max = %v, want >= 1", dump["decomp_pool_busy_max"])
+			}
+			var text bytes.Buffer
+			if err := tr.WriteText(&text); err != nil {
+				t.Fatal(err)
+			}
+			spans := 0
+			for _, line := range strings.Split(text.String(), "\n") {
+				if f := strings.Fields(line); len(f) > 0 && f[0] == "component" {
+					spans++
+					if !strings.Contains(line, "worker=") {
+						t.Errorf("component span without a worker attribute: %s", line)
+					}
+				}
+			}
+			if spans < 3 {
+				t.Errorf("span tree has %d component spans, want >= 3:\n%s", spans, text.String())
+			}
+		})
 	}
 }
