@@ -17,6 +17,7 @@ import (
 	"calib/internal/core"
 	"calib/internal/exp"
 	"calib/internal/lp"
+	"calib/internal/obs"
 	"calib/internal/tise"
 	"calib/internal/workload"
 )
@@ -85,6 +86,28 @@ func BenchmarkT1LongWindowN40(b *testing.B) {
 		}
 		b.ReportMetric(float64(seed)/float64(fast), "x-speedup")
 	})
+}
+
+// BenchmarkServedLadder times what ised serves: calib.SolveRobust with
+// default options, so every time component descends the exact → LP →
+// heuristic ladder, over servedCorpus (every workload family at n 8-40,
+// shaped like perfbench's cold-ladder corpus). One op solves the whole
+// corpus. pivots/op counts LP pivots: it moves only when the solver's
+// decisions do, never with code placement or the host.
+func BenchmarkServedLadder(b *testing.B) {
+	corpus := servedCorpus(b)
+	met := calib.NewMetrics()
+	opts := &calib.Options{Metrics: met}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, inst := range corpus {
+			if _, err := calib.SolveRobust(inst, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(met.Counter(obs.MLPPivots).Value())/float64(b.N), "pivots/op")
 }
 
 func BenchmarkT2SpeedTrade(b *testing.B) {

@@ -95,6 +95,12 @@ type searcher struct {
 	// fails, leaving the cause in stopErr.
 	check   func(work int) error
 	stopErr error
+	// jobBuf[d] and groupBuf[d] are depth d's scratch: one group with
+	// the job inserted, and one machine's group list with a new group.
+	// Depth d inserts the (d+1)-th job, so at most d groups of at most
+	// d jobs exist and neither buffer needs more than d+1 slots.
+	jobBuf   [][]int
+	groupBuf [][][]int
 }
 
 // Solve finds a minimum-calibration schedule on inst.M machines.
@@ -138,6 +144,13 @@ func Solve(inst *ise.Instance, opts Options) (*Result, error) {
 		}
 		return ja.ID < jb.ID
 	})
+	n := inst.N()
+	jobs, groups := make([]int, n*(n+1)/2), make([][]int, n*(n+1)/2)
+	s.jobBuf, s.groupBuf = make([][]int, n), make([][][]int, n)
+	for d, off := 0, 0; d < n; d, off = d+1, off+d+1 {
+		s.jobBuf[d] = jobs[off : off+d+1 : off+d+1]
+		s.groupBuf[d] = groups[off : off+d+1 : off+d+1]
+	}
 	s.dfs(0, 0)
 	if s.stopErr != nil {
 		res := &Result{Proven: false, Nodes: s.nodes, Stopped: s.stopErr}
@@ -226,41 +239,47 @@ func (s *searcher) dfs(depth, cals int) {
 			}
 			usedEmpty = true
 		}
-		// Insert into an existing group at every position.
+		// Insert into an existing group at every position: place the
+		// job at slot 0 of this depth's buffer, then swap it one slot
+		// right per position. Deeper levels only read the buffer.
 		for gi := range m.groups {
 			g := m.groups[gi]
-			for pos := 0; pos <= len(g); pos++ {
-				ng := make([]int, 0, len(g)+1)
-				ng = append(ng, g[:pos]...)
-				ng = append(ng, id)
-				ng = append(ng, g[pos:]...)
-				old := m.groups[gi]
-				m.groups[gi] = ng
+			ng := s.jobBuf[depth][:len(g)+1]
+			ng[0] = id
+			copy(ng[1:], g)
+			m.groups[gi] = ng
+			for pos := 0; pos <= len(g) && !s.capHit; pos++ {
+				if pos > 0 {
+					ng[pos-1], ng[pos] = ng[pos], ng[pos-1]
+				}
 				if s.feasibleMachine(m) {
 					s.dfs(depth+1, cals)
 				}
-				m.groups[gi] = old
-				if s.capHit {
-					return
-				}
+			}
+			m.groups[gi] = g
+			if s.capHit {
+				return
 			}
 		}
-		// New group at every position in the machine's group order.
+		// New group at every position in the machine's group order,
+		// moved through this depth's group-list buffer the same way.
 		if cals+1 < s.bestC {
-			for pos := 0; pos <= len(m.groups); pos++ {
-				ng := make([][]int, 0, len(m.groups)+1)
-				ng = append(ng, m.groups[:pos]...)
-				ng = append(ng, []int{id})
-				ng = append(ng, m.groups[pos:]...)
-				old := m.groups
-				m.groups = ng
+			gs := m.groups
+			ng := s.groupBuf[depth][:len(gs)+1]
+			ng[0] = s.order[depth : depth+1 : depth+1]
+			copy(ng[1:], gs)
+			m.groups = ng
+			for pos := 0; pos <= len(gs) && !s.capHit; pos++ {
+				if pos > 0 {
+					ng[pos-1], ng[pos] = ng[pos], ng[pos-1]
+				}
 				if s.feasibleMachine(m) {
 					s.dfs(depth+1, cals+1)
 				}
-				m.groups = old
-				if s.capHit {
-					return
-				}
+			}
+			m.groups = gs
+			if s.capHit {
+				return
 			}
 		}
 	}

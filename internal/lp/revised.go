@@ -77,10 +77,14 @@ const checkEvery = 32
 // sparse LU factorization (Markowitz-ordered factorize, column-eta
 // product-form updates, refactorization on fill-in or instability).
 // Compared to the dense tableau of Solve, memory drops from O(m*n) to
-// O(nnz) and FTRAN/BTRAN from O(m*n) to O(nnz), which matters for the
-// TISE relaxations whose column count far exceeds the row count. The
-// original dense m x m inverse survives as a reference implementation
-// (RevisedOptions.DenseBasis) and as the divergence-guard fallback.
+// O(nnz), and FTRAN/BTRAN cost O(nnz) of the factor per pivot. The
+// tableau's pivots skip zeros too (they touch only the pivot row's
+// nonzero columns in the pivot column's nonzero rows), so on a single
+// cold solve of a TISE relaxation at the sizes served today the
+// tableau is faster; the revised engine's edge is memory and warm
+// re-solves. The original dense m x m inverse survives as a reference
+// implementation (RevisedOptions.DenseBasis) and as the
+// divergence-guard fallback.
 //
 // Unlike the dense and rational engines, finite variable upper bounds
 // are handled natively: nonbasic variables rest at either bound and

@@ -23,6 +23,10 @@ type tableau struct {
 	// column's unit sign and any rhs-normalization flip.
 	dualCol  []int
 	dualMult []float64
+	// Elimination scratch, allocated once per solve: the pivot row's
+	// nonzero columns (capacity n+1) and the pivot column's nonzero
+	// rows, cost row included (capacity m+1).
+	cols, rows []int
 }
 
 func (t *tableau) at(i, j int) float64     { return t.a[i*(t.n+1)+j] }
@@ -38,9 +42,10 @@ func Solve(p *Problem) (*Solution, error) {
 }
 
 // SolveChecked is Solve with a cancellation/budget hook consulted once
-// per pivot (a dense pivot is O(m*n), so the per-pivot atomic check is
-// noise). On abort the Solution carries Status Aborted and the check's
-// error is returned.
+// per pivot (each pivot prices every column and scans the entering
+// column, O(m+n) before any elimination, so the per-pivot atomic check
+// is noise). On abort the Solution carries Status Aborted and the
+// check's error is returned.
 func SolveChecked(p *Problem, check CheckFunc) (*Solution, error) {
 	p, mOrig := p.withBoundRows()
 	t, hasArt := build(p)
@@ -134,6 +139,8 @@ func build(p *Problem) (*tableau, bool) {
 	}
 	t.dualCol = make([]int, m)
 	t.dualMult = make([]float64, m)
+	t.cols = make([]int, 0, n+1)
+	t.rows = make([]int, 0, m+1)
 	slack, art := p.NumVars(), t.artLo
 	for i, r := range p.rows {
 		sign := 1.0
@@ -247,11 +254,17 @@ func (t *tableau) iterate(cost []float64, phase1 bool, check CheckFunc) (Status,
 		if enter < 0 {
 			return Optimal, iter, nil
 		}
-		// Ratio test: leaving row.
+		// Ratio test: leaving row. It reads the whole entering column,
+		// so it also records the column's nonzero rows for the pivot.
+		rows := t.rows[:0]
 		leave := -1
 		var bestRatio float64
 		for i := 0; i < t.m; i++ {
 			aij := t.at(i, enter)
+			if aij == 0 {
+				continue
+			}
+			rows = append(rows, i)
 			if aij <= epsPivot {
 				continue
 			}
@@ -264,7 +277,9 @@ func (t *tableau) iterate(cost []float64, phase1 bool, check CheckFunc) (Status,
 		if leave < 0 {
 			return Unbounded, iter, nil
 		}
-		t.pivot(leave, enter)
+		// The entering column's reduced cost is negative, so the cost
+		// row always takes part in the elimination.
+		t.pivot(leave, enter, append(rows, t.m))
 		// Degeneracy watch: if the objective stops improving for many
 		// pivots, fall back to Bland's rule.
 		obj := -t.at(t.m, t.n)
@@ -282,29 +297,46 @@ func (t *tableau) iterate(cost []float64, phase1 bool, check CheckFunc) (Status,
 }
 
 // pivot performs Gauss-Jordan elimination on (r, c), making column c
-// basic in row r.
-func (t *tableau) pivot(r, c int) {
+// basic in row r. rows must list every row, the cost row included,
+// whose column-c entry is nonzero. Only those rows change, and only at
+// the pivot row's nonzero columns: for a zero pivot-row entry the
+// full-row update ri[j] - f*0 leaves ri[j] as it was, up to the sign
+// of a zero, and the engine compares ±0 as equal everywhere.
+func (t *tableau) pivot(r, c int, rows []int) {
 	pr := t.row(r)
 	inv := 1 / pr[c]
-	for j := range pr {
-		pr[j] *= inv
+	cols := t.cols[:0]
+	for j, v := range pr {
+		if v != 0 {
+			pr[j] = v * inv
+			cols = append(cols, j)
+		}
 	}
 	pr[c] = 1 // exact
-	for i := 0; i <= t.m; i++ {
+	for _, i := range rows {
 		if i == r {
 			continue
 		}
 		ri := t.row(i)
 		f := ri[c]
-		if f == 0 {
-			continue
-		}
-		for j := range ri {
+		for _, j := range cols {
 			ri[j] -= f * pr[j]
 		}
 		ri[c] = 0 // exact
 	}
 	t.basis[r] = c
+}
+
+// nonzeroRows returns the rows, the cost row included, whose column-c
+// entry is nonzero, in the tableau's row scratch.
+func (t *tableau) nonzeroRows(c int) []int {
+	rows := t.rows[:0]
+	for i := 0; i <= t.m; i++ {
+		if t.at(i, c) != 0 {
+			rows = append(rows, i)
+		}
+	}
+	return rows
 }
 
 // purgeArtificials drives basic artificial variables out of the basis
@@ -327,7 +359,7 @@ func (t *tableau) purgeArtificials() {
 			}
 		}
 		if piv >= 0 {
-			t.pivot(i, piv)
+			t.pivot(i, piv, t.nonzeroRows(piv))
 			continue
 		}
 		// Redundant row: zero it so it never constrains anything.

@@ -1,12 +1,14 @@
 #!/bin/sh
 # Benchmark regression gate for pull requests, in two parts.
 #
-# Part 1 (relative): runs the two headline hot-path benchmarks
-# (BenchmarkT1LongWindowN40, BenchmarkT8Scaling) on the working tree
-# and on a base ref checked out into a throwaway git worktree, then
-# fails if any sub-benchmark's mean ns/op — or, where both sides
-# report it, mean allocs/op — regressed by more than BENCHGATE_PCT
-# percent (default 10).
+# Part 1 (relative): runs the headline solver benchmarks
+# (BenchmarkT1LongWindowN40, BenchmarkT8Scaling, and
+# BenchmarkServedLadder, calib.SolveRobust over a fixed corpus of
+# every workload family as ised serves it) on the working tree and on
+# a base ref checked out into a throwaway git worktree, then fails if
+# any sub-benchmark's mean ns/op — or, where both sides report it,
+# mean allocs/op — regressed by more than BENCHGATE_PCT percent
+# (default 10). A benchmark the base lacks is reported and skipped.
 #
 # Part 2 (absolute): runs the service hot-path benchmarks
 # (BenchmarkServiceSolve, BenchmarkServiceCacheHit) on the working
@@ -29,7 +31,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 BASE_REF="${1:-origin/main}"
-BENCH='BenchmarkT1LongWindowN40|BenchmarkT8Scaling'
+BENCH='BenchmarkT1LongWindowN40|BenchmarkT8Scaling|BenchmarkServedLadder'
 BENCHTIME="${BENCHGATE_BENCHTIME:-3x}"
 COUNT="${BENCHGATE_COUNT:-3}"
 PCT="${BENCHGATE_PCT:-10}"
