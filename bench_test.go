@@ -92,8 +92,9 @@ func BenchmarkT1LongWindowN40(b *testing.B) {
 // default options, so every time component descends the exact → LP →
 // heuristic ladder, over servedCorpus (every workload family at n 8-40,
 // shaped like perfbench's cold-ladder corpus). One op solves the whole
-// corpus. pivots/op counts LP pivots: it moves only when the solver's
-// decisions do, never with code placement or the host.
+// corpus. pivots/op counts LP pivots and nodes/op exact-search nodes:
+// they move only when the solver's decisions do, never with code
+// placement or the host.
 func BenchmarkServedLadder(b *testing.B) {
 	corpus := servedCorpus(b)
 	met := calib.NewMetrics()
@@ -108,6 +109,7 @@ func BenchmarkServedLadder(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(met.Counter(obs.MLPPivots).Value())/float64(b.N), "pivots/op")
+	b.ReportMetric(float64(met.Counter(obs.MExactNodes).Value())/float64(b.N), "nodes/op")
 }
 
 func BenchmarkT2SpeedTrade(b *testing.B) {

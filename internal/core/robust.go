@@ -280,6 +280,11 @@ func componentRungs(inst *ise.Instance, opts RobustOptions, gamma int, parent *o
 				res, err := exact.Solve(inst, exact.Options{
 					MaxNodes: opts.ExactNodes, WarmStart: true, Control: c,
 				})
+				if res != nil {
+					// Every attempt's search counts: proven, capped or
+					// stopped.
+					met.Counter(obs.MExactNodes).Add(int64(res.Nodes))
+				}
 				if err != nil {
 					return nil, err
 				}

@@ -37,6 +37,9 @@ const (
 	MDecompCompSecs   = "decomp_component_seconds" // histogram: per-component solve time
 	MSolveSeconds     = "solve_seconds"            // histogram: end-to-end pipeline solves
 
+	// internal/core — the robust ladder's exact branch-and-bound rung.
+	MExactNodes = "exact_nodes_total" // search nodes expanded, proven, capped and stopped searches alike
+
 	// internal/robust — cancellation, budgets, degradation ladder.
 	MRobustFallback     = "robust_fallback_total"         // ladder falls; labeled rung="<rung>:<reason>"
 	MRobustRungAnswers  = "robust_rung_answers_total"     // which rung produced the answer; labeled rung=...
@@ -169,7 +172,7 @@ func Declare(r *Registry) {
 		MLPColdFallback, MLPColdSolves, MLPBinvHits, MLPBinvMisses,
 		MLPDualRepair, MLPLUFactorize, MLPLUDenseFallback,
 		MTISEResolves, MTISECutRounds, MTISECuts, MTISEViolated,
-		MDecompTasks,
+		MDecompTasks, MExactNodes,
 		MRobustFallback, MRobustRungAnswers, MRobustDeadlineHits,
 		MRobustBudgetHits, MRobustPanics,
 		MMMLPProbes, MMMLPInfeasible, MMMLPSolves, MMMLPSkipped, MMMTrials,
@@ -306,6 +309,8 @@ var helpText = map[string]string{
 	MDecompPoolMax:    "Peak worker-pool occupancy.",
 	MDecompCompSecs:   "Per-component solve time in seconds.",
 	MSolveSeconds:     "End-to-end pipeline solve time in seconds.",
+
+	MExactNodes: "Exact branch-and-bound search nodes expanded by the robust ladder.",
 
 	MRobustFallback:     "Degradation-ladder falls, by rung and reason.",
 	MRobustRungAnswers:  "Which ladder rung produced the answer.",

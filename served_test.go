@@ -40,16 +40,17 @@ func servedCorpus(tb testing.TB) []*calib.Instance {
 type servedTotals struct {
 	calibrations, machines int
 	pivots, resolves       int64
+	nodes                  int64  // exact-search nodes, every attempt
 	digest                 string // SHA-256 over the JSON schedules, in corpus order
 }
 
 // TestServedAnswersPinned pins what the served ladder answers on the
-// served corpus: schedules byte for byte, and the LP's pivot and
-// re-solve counts. A solver change that claims identical answers must
-// leave every constant here untouched. The float64 LP rounds per
-// architecture (arm64 and several other targets fuse a-f*b into one
-// FMA; amd64 never fuses implicitly), so the constants hold on amd64
-// only.
+// served corpus: schedules byte for byte, the LP's pivot and re-solve
+// counts, and the exact rung's search nodes. A solver change that
+// claims identical answers must leave every constant here untouched.
+// The float64 LP rounds per architecture (arm64 and several other
+// targets fuse a-f*b into one FMA; amd64 never fuses implicitly), so
+// the constants hold on amd64 only.
 func TestServedAnswersPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("constants are recorded on amd64; %s may round the float64 LP differently", runtime.GOARCH)
@@ -71,6 +72,7 @@ func TestServedAnswersPinned(t *testing.T) {
 		got.machines += sol.MachinesUsed
 		got.pivots += met.Counter(obs.MLPPivots).Value()
 		got.resolves += met.Counter(obs.MTISEResolves).Value()
+		got.nodes += met.Counter(obs.MExactNodes).Value()
 	}
 	got.digest = hex.EncodeToString(h.Sum(nil))
 	want := servedTotals{
@@ -78,6 +80,7 @@ func TestServedAnswersPinned(t *testing.T) {
 		machines:     1145,
 		pivots:       7103,
 		resolves:     38,
+		nodes:        30518,
 		digest:       "b1c27556f938d1d88745f167e8cc934cdf4372b7defd8ea9e165a80e5feec8a5",
 	}
 	if got != want {
