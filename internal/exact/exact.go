@@ -16,6 +16,12 @@
 // enumerates structures by inserting jobs one at a time (in deadline
 // order) at every possible position, with branch-and-bound on the
 // calibration count and monotone infeasibility pruning.
+//
+// An insertion only delays starts, so a candidate is checked
+// incrementally against the machine's placement at node entry: from
+// the changed or new group onward, and only until a later group keeps
+// its old start, after which the rest of the machine is unchanged and
+// still feasible. The work bound is O(1) per node.
 package exact
 
 import (
@@ -54,9 +60,10 @@ type Options struct {
 }
 
 // checkNodes is the search's check cadence: nodes between Control
-// polls. A node costs a feasibility sweep over a machine's groups, so
-// 512 of them still bound cancel latency well under the conformance
-// suite's 100ms even with the race detector on.
+// polls. Each of a node's candidates costs at most a feasibility sweep
+// over one machine's groups, so 512 nodes still bound cancel latency
+// well under the conformance suite's 100ms even with the race detector
+// on.
 const checkNodes = 512
 
 // Result is the outcome of Solve.
@@ -81,9 +88,24 @@ type machine struct {
 	groups [][]int // job IDs in execution order per calibration
 }
 
+// noStart is the previous calibration start a machine's first group
+// sees: far enough in the past that it never binds.
+const noStart = ise.Time(-1 << 62)
+
+// level is one search depth's scratch. Depth d inserts the (d+1)-th
+// job, so at most d groups of at most d jobs exist and no slice needs
+// more than d+1 slots.
+type level struct {
+	jobs   []int      // one group with the job inserted
+	groups [][]int    // one machine's group list with a new group
+	work   []ise.Time // each group's work on the machine being tried
+	start  []ise.Time // each group's start there, at node entry
+}
+
 type searcher struct {
 	inst     *ise.Instance
-	order    []int // job IDs in insertion (deadline) order
+	work     ise.Time // the instance's total work
+	order    []int    // job IDs in insertion (deadline) order
 	machines []machine
 	bestC    int
 	best     []machine // deep copy of best structure
@@ -95,12 +117,7 @@ type searcher struct {
 	// fails, leaving the cause in stopErr.
 	check   func(work int) error
 	stopErr error
-	// jobBuf[d] and groupBuf[d] are depth d's scratch: one group with
-	// the job inserted, and one machine's group list with a new group.
-	// Depth d inserts the (d+1)-th job, so at most d groups of at most
-	// d jobs exist and neither buffer needs more than d+1 slots.
-	jobBuf   [][]int
-	groupBuf [][][]int
+	levels  []level // levels[d] is depth d's scratch
 }
 
 // Solve finds a minimum-calibration schedule on inst.M machines.
@@ -113,6 +130,7 @@ func Solve(inst *ise.Instance, opts Options) (*Result, error) {
 	}
 	s := &searcher{
 		inst:     inst,
+		work:     inst.TotalWork(),
 		machines: make([]machine, inst.M),
 		bestC:    inst.N() + 1, // sentinel: any solution beats it
 		maxNodes: opts.MaxNodes,
@@ -146,10 +164,15 @@ func Solve(inst *ise.Instance, opts Options) (*Result, error) {
 	})
 	n := inst.N()
 	jobs, groups := make([]int, n*(n+1)/2), make([][]int, n*(n+1)/2)
-	s.jobBuf, s.groupBuf = make([][]int, n), make([][][]int, n)
+	times := make([]ise.Time, n*(n+1))
+	s.levels = make([]level, n)
 	for d, off := 0, 0; d < n; d, off = d+1, off+d+1 {
-		s.jobBuf[d] = jobs[off : off+d+1 : off+d+1]
-		s.groupBuf[d] = groups[off : off+d+1 : off+d+1]
+		s.levels[d] = level{
+			jobs:   jobs[off : off+d+1 : off+d+1],
+			groups: groups[off : off+d+1 : off+d+1],
+			work:   times[2*off : 2*off+d+1 : 2*off+d+1],
+			start:  times[2*off+d+1 : 2*(off+d+1) : 2*(off+d+1)],
+		}
 	}
 	s.dfs(0, 0)
 	if s.stopErr != nil {
@@ -205,29 +228,20 @@ func (s *searcher) dfs(depth, cals int) {
 		}
 	}
 	// Bound: remaining work needs at least this many extra
-	// calibrations beyond the free capacity of existing groups.
-	var remaining ise.Time
-	for _, id := range s.order[depth:] {
-		remaining += s.inst.Jobs[id].Processing
-	}
-	var free ise.Time
-	for mi := range s.machines {
-		for _, g := range s.machines[mi].groups {
-			var used ise.Time
-			for _, id := range g {
-				used += s.inst.Jobs[id].Processing
-			}
-			free += s.inst.T - used
-		}
-	}
-	if extra := remaining - free; extra > 0 {
-		need := int((extra + s.inst.T - 1) / s.inst.T)
+	// calibrations beyond the free capacity of existing groups. Every
+	// group is one calibration, so that capacity is cals*T minus the
+	// placed work, and the remaining work beyond it is W - cals*T.
+	T := s.inst.T
+	if extra := s.work - ise.Time(cals)*T; extra > 0 {
+		need := int((extra + T - 1) / T)
 		if cals+need >= s.bestC {
 			return
 		}
 	}
 
 	id := s.order[depth]
+	p := s.inst.Jobs[id].Processing
+	lv := &s.levels[depth]
 	usedEmpty := false
 	for mi := range s.machines {
 		m := &s.machines[mi]
@@ -239,12 +253,22 @@ func (s *searcher) dfs(depth, cals int) {
 			}
 			usedEmpty = true
 		}
+		work, start := lv.work[:len(m.groups)], lv.start[:len(m.groups)]
+		s.place(m.groups, work, start)
 		// Insert into an existing group at every position: place the
 		// job at slot 0 of this depth's buffer, then swap it one slot
 		// right per position. Deeper levels only read the buffer.
 		for gi := range m.groups {
+			w := work[gi] + p
+			if w > T {
+				continue // too much work at every position
+			}
+			prev := noStart
+			if gi > 0 {
+				prev = start[gi-1]
+			}
 			g := m.groups[gi]
-			ng := s.jobBuf[depth][:len(g)+1]
+			ng := lv.jobs[:len(g)+1]
 			ng[0] = id
 			copy(ng[1:], g)
 			m.groups[gi] = ng
@@ -252,7 +276,7 @@ func (s *searcher) dfs(depth, cals int) {
 				if pos > 0 {
 					ng[pos-1], ng[pos] = ng[pos], ng[pos-1]
 				}
-				if s.feasibleMachine(m) {
+				if s.feasibleAfter(m.groups, gi, w, prev, start[gi+1:]) {
 					s.dfs(depth+1, cals)
 				}
 			}
@@ -265,15 +289,17 @@ func (s *searcher) dfs(depth, cals int) {
 		// moved through this depth's group-list buffer the same way.
 		if cals+1 < s.bestC {
 			gs := m.groups
-			ng := s.groupBuf[depth][:len(gs)+1]
+			ng := lv.groups[:len(gs)+1]
 			ng[0] = s.order[depth : depth+1 : depth+1]
 			copy(ng[1:], gs)
 			m.groups = ng
 			for pos := 0; pos <= len(gs) && !s.capHit; pos++ {
+				prev := noStart
 				if pos > 0 {
 					ng[pos-1], ng[pos] = ng[pos], ng[pos-1]
+					prev = start[pos-1]
 				}
-				if s.feasibleMachine(m) {
+				if s.feasibleAfter(ng, pos, p, prev, start[pos:]) {
 					s.dfs(depth+1, cals+1)
 				}
 			}
@@ -285,61 +311,85 @@ func (s *searcher) dfs(depth, cals int) {
 	}
 }
 
-// feasibleMachine checks the machine's structure under minimal-time
-// placement: calibration g starts at
-//
-//	t_g = max(t_{g-1} + T, max_i (r_i + suffixWork_i) - T)
-//
-// with jobs left-packed; feasible iff every group's work fits in T and
-// every job meets its deadline.
-func (s *searcher) feasibleMachine(m *machine) bool {
-	T := s.inst.T
-	prev := ise.Time(-1 << 62)
-	for _, g := range m.groups {
-		t, ok := groupStart(s.inst, g, prev, T)
-		if !ok {
+// place fills work and start with each group's work and start under
+// the machine's minimal-time placement.
+func (s *searcher) place(groups [][]int, work, start []ise.Time) {
+	prev := noStart
+	for gi, g := range groups {
+		w := groupWork(s.inst, g)
+		prev = groupStart(s.inst, g, w, prev)
+		work[gi], start[gi] = w, prev
+	}
+}
+
+// feasibleAfter reports whether a machine that was feasible stays so
+// after one insertion: groups is its new group list, in which group
+// gi, of work w <= T, is new or has gained a job. The groups before gi
+// are unchanged, prev is the start of the one right before it, and
+// later holds the old starts of the groups after it. An unchanged
+// group's release bound is at most its old start, and an insertion
+// never moves a start earlier, so a later group moves, to exactly the
+// previous start plus T, only while that passes its old start. Once
+// one keeps its start, it and every group after it keep their old,
+// feasible placement.
+func (s *searcher) feasibleAfter(groups [][]int, gi int, w, prev ise.Time, later []ise.Time) bool {
+	t := groupStart(s.inst, groups[gi], w, prev)
+	if !meetsDeadlines(s.inst, groups[gi], t) {
+		return false
+	}
+	for k, old := range later {
+		if t += s.inst.T; t <= old {
+			return true
+		}
+		if !meetsDeadlines(s.inst, groups[gi+1+k], t) {
 			return false
 		}
-		// Left-pack and check deadlines.
-		cur := t
-		for _, id := range g {
-			j := s.inst.Jobs[id]
-			if cur < j.Release {
-				cur = j.Release
-			}
-			cur += j.Processing
-			if cur > j.Deadline {
-				return false
-			}
-		}
-		prev = t
 	}
 	return true
 }
 
-// groupStart computes the minimal feasible calibration start for the
-// ordered group given the previous calibration start, or ok=false if
-// the group's total work exceeds T.
-func groupStart(inst *ise.Instance, g []int, prevStart, T ise.Time) (ise.Time, bool) {
-	var total ise.Time
+// groupWork is the group's total processing time.
+func groupWork(inst *ise.Instance, g []int) ise.Time {
+	var w ise.Time
 	for _, id := range g {
-		total += inst.Jobs[id].Processing
+		w += inst.Jobs[id].Processing
 	}
-	if total > T {
-		return 0, false
-	}
-	t := prevStart + T
-	suffix := total
+	return w
+}
+
+// groupStart is the minimal calibration start of the ordered group g,
+// of work w <= T, after a calibration at prevStart:
+//
+//	t_g = max(prevStart + T, max_i (r_i + suffixWork_i) - T)
+//
+// The second term is the group's release bound: the latest release
+// with the work from that job on still to fit before t_g + T.
+func groupStart(inst *ise.Instance, g []int, w, prevStart ise.Time) ise.Time {
+	t := prevStart + inst.T
+	suffix := w
 	for _, id := range g {
 		j := inst.Jobs[id]
-		if v := j.Release + suffix - T; v > t {
+		if v := j.Release + suffix - inst.T; v > t {
 			t = v
 		}
 		suffix -= j.Processing
 	}
-	// The i=0 suffix constraint keeps t finite (>= r_0 + total - T)
-	// even on a machine's first group, where prevStart is a sentinel.
-	return t, true
+	// The i=0 suffix constraint keeps t finite (>= r_0 + w - T) even
+	// on a machine's first group, where prevStart is noStart.
+	return t
+}
+
+// meetsDeadlines left-packs the group's jobs from calibration start t
+// and reports whether every one meets its deadline.
+func meetsDeadlines(inst *ise.Instance, g []int, t ise.Time) bool {
+	for _, id := range g {
+		j := inst.Jobs[id]
+		t = max(t, j.Release) + j.Processing
+		if t > j.Deadline {
+			return false
+		}
+	}
+	return true
 }
 
 func deepCopy(ms []machine) []machine {
@@ -358,12 +408,13 @@ func deepCopy(ms []machine) []machine {
 func buildSchedule(inst *ise.Instance, ms []machine) (*ise.Schedule, error) {
 	s := ise.NewSchedule(len(ms))
 	for mi, m := range ms {
-		prev := ise.Time(-1 << 62)
+		prev := noStart
 		for _, g := range m.groups {
-			t, ok := groupStart(inst, g, prev, inst.T)
-			if !ok {
+			w := groupWork(inst, g)
+			if w > inst.T {
 				return nil, fmt.Errorf("exact: internal error: infeasible best structure")
 			}
+			t := groupStart(inst, g, w, prev)
 			s.Calibrate(mi, t)
 			cur := t
 			for _, id := range g {

@@ -1,6 +1,9 @@
 package lp
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Numerical tolerances for the float64 engine.
 const (
@@ -27,12 +30,38 @@ type tableau struct {
 	// nonzero columns (capacity n+1) and the pivot column's nonzero
 	// rows, cost row included (capacity m+1).
 	cols, rows []int
+	// The nonzero index: rowNZ holds rw words per row (cost row
+	// included) with bit j set for column j, colNZ holds cw words per
+	// column (rhs included) with bit i set for row i. Every nonzero
+	// cell has both its bits set; a set bit may cover a cell that has
+	// since cancelled to zero, and walks clear such bits as they meet
+	// them.
+	rowNZ, colNZ []uint64
+	rw, cw       int
 }
 
 func (t *tableau) at(i, j int) float64     { return t.a[i*(t.n+1)+j] }
 func (t *tableau) set(i, j int, v float64) { t.a[i*(t.n+1)+j] = v }
 func (t *tableau) row(i int) []float64     { return t.a[i*(t.n+1) : (i+1)*(t.n+1)] }
 func (t *tableau) rhs(i int) float64       { return t.at(i, t.n) }
+
+// rowBits and colBits are row i's and column j's words of the nonzero
+// index.
+func (t *tableau) rowBits(i int) []uint64 { return t.rowNZ[i*t.rw : (i+1)*t.rw] }
+func (t *tableau) colBits(j int) []uint64 { return t.colNZ[j*t.cw : (j+1)*t.cw] }
+
+// newIndex allocates an empty nonzero index for the tableau's shape.
+func (t *tableau) newIndex() {
+	t.rw, t.cw = (t.n+64)/64, (t.m+64)/64
+	nz := make([]uint64, (t.m+1)*t.rw+(t.n+1)*t.cw)
+	t.rowNZ, t.colNZ = nz[:(t.m+1)*t.rw], nz[(t.m+1)*t.rw:]
+}
+
+// mark records cell (i, j) in the nonzero index.
+func (t *tableau) mark(i, j int) {
+	t.rowNZ[i*t.rw+(j>>6)] |= 1 << (j & 63)
+	t.colNZ[j*t.cw+(i>>6)] |= 1 << (i & 63)
+}
 
 // Solve runs the two-phase dense simplex on p. Finite variable upper
 // bounds are materialized as explicit rows (the dense tableau has no
@@ -42,10 +71,9 @@ func Solve(p *Problem) (*Solution, error) {
 }
 
 // SolveChecked is Solve with a cancellation/budget hook consulted once
-// per pivot (each pivot prices every column and scans the entering
-// column, O(m+n) before any elimination, so the per-pivot atomic check
-// is noise). On abort the Solution carries Status Aborted and the
-// check's error is returned.
+// per pivot (each pivot prices every column, O(n) before any
+// elimination, so the per-pivot atomic check is noise). On abort the
+// Solution carries Status Aborted and the check's error is returned.
 func SolveChecked(p *Problem, check CheckFunc) (*Solution, error) {
 	p, mOrig := p.withBoundRows()
 	t, hasArt := build(p)
@@ -141,6 +169,11 @@ func build(p *Problem) (*tableau, bool) {
 	t.dualMult = make([]float64, m)
 	t.cols = make([]int, 0, n+1)
 	t.rows = make([]int, 0, m+1)
+	t.newIndex()
+	set := func(i, j int, v float64) {
+		t.set(i, j, v)
+		t.mark(i, j)
+	}
 	slack, art := p.NumVars(), t.artLo
 	for i, r := range p.rows {
 		sign := 1.0
@@ -149,26 +182,26 @@ func build(p *Problem) (*tableau, bool) {
 			sign, rhs = -1, -rhs
 		}
 		for _, term := range r.terms {
-			t.set(i, term.Var, t.at(i, term.Var)+sign*term.Coeff)
+			set(i, term.Var, t.at(i, term.Var)+sign*term.Coeff)
 		}
-		t.set(i, n, rhs)
+		set(i, n, rhs)
 		switch normalizedRel(r) {
 		case LE:
-			t.set(i, slack, 1)
+			set(i, slack, 1)
 			t.basis[i] = slack
 			// d_slack = -y_norm; y_orig = sign * y_norm.
 			t.dualCol[i], t.dualMult[i] = slack, -sign
 			slack++
 		case GE:
-			t.set(i, slack, -1)
+			set(i, slack, -1)
 			// d_surplus = +y_norm.
 			t.dualCol[i], t.dualMult[i] = slack, sign
 			slack++
-			t.set(i, art, 1)
+			set(i, art, 1)
 			t.basis[i] = art
 			art++
 		case EQ:
-			t.set(i, art, 1)
+			set(i, art, 1)
 			t.basis[i] = art
 			// d_artificial = -y_norm (artificials cost 0 in phase 2).
 			t.dualCol[i], t.dualMult[i] = art, -sign
@@ -209,6 +242,11 @@ func (t *tableau) installCost(cost []float64) {
 			for j := range crow {
 				crow[j] -= cb * ri[j]
 			}
+		}
+	}
+	for j, v := range crow {
+		if v != 0 {
+			t.mark(t.m, j)
 		}
 	}
 }
@@ -254,24 +292,34 @@ func (t *tableau) iterate(cost []float64, phase1 bool, check CheckFunc) (Status,
 		if enter < 0 {
 			return Optimal, iter, nil
 		}
-		// Ratio test: leaving row. It reads the whole entering column,
-		// so it also records the column's nonzero rows for the pivot.
+		// Ratio test: leaving row. It walks the entering column's
+		// index in row order, so it also records the column's nonzero
+		// rows for the pivot. The cost row's bit, the column's last,
+		// is skipped.
 		rows := t.rows[:0]
 		leave := -1
 		var bestRatio float64
-		for i := 0; i < t.m; i++ {
-			aij := t.at(i, enter)
-			if aij == 0 {
-				continue
-			}
-			rows = append(rows, i)
-			if aij <= epsPivot {
-				continue
-			}
-			ratio := t.rhs(i) / aij
-			if leave < 0 || ratio < bestRatio-epsPivot ||
-				(ratio < bestRatio+epsPivot && t.basis[i] < t.basis[leave]) {
-				leave, bestRatio = i, ratio
+		col := t.colBits(enter)
+		for w, word := range col {
+			for ; word != 0; word &= word - 1 {
+				i := w<<6 | bits.TrailingZeros64(word)
+				if i == t.m {
+					break
+				}
+				aij := t.at(i, enter)
+				if aij == 0 {
+					col[w] &^= word & -word
+					continue
+				}
+				rows = append(rows, i)
+				if aij <= epsPivot {
+					continue
+				}
+				ratio := t.rhs(i) / aij
+				if leave < 0 || ratio < bestRatio-epsPivot ||
+					(ratio < bestRatio+epsPivot && t.basis[i] < t.basis[leave]) {
+					leave, bestRatio = i, ratio
+				}
 			}
 		}
 		if leave < 0 {
@@ -298,18 +346,31 @@ func (t *tableau) iterate(cost []float64, phase1 bool, check CheckFunc) (Status,
 
 // pivot performs Gauss-Jordan elimination on (r, c), making column c
 // basic in row r. rows must list every row, the cost row included,
-// whose column-c entry is nonzero. Only those rows change, and only at
-// the pivot row's nonzero columns: for a zero pivot-row entry the
-// full-row update ri[j] - f*0 leaves ri[j] as it was, up to the sign
-// of a zero, and the engine compares ±0 as equal everywhere.
+// whose column-c entry is nonzero, and each of them must have its bit
+// in column c's index. Only those rows change, and only at the pivot
+// row's nonzero columns: for a zero pivot-row entry the full-row
+// update ri[j] - f*0 leaves ri[j] as it was, up to the sign of a zero,
+// and the engine compares ±0 as equal everywhere.
+//
+// The index follows the elimination: an updated row can turn nonzero
+// only at the pivot row's columns, and such a column only at the
+// pivot column's rows, so each updated row takes the pivot row's bits
+// and each such column the pivot column's. Column c ends as the unit
+// vector e_r.
 func (t *tableau) pivot(r, c int, rows []int) {
 	pr := t.row(r)
 	inv := 1 / pr[c]
 	cols := t.cols[:0]
-	for j, v := range pr {
-		if v != 0 {
-			pr[j] = v * inv
-			cols = append(cols, j)
+	prBits := t.rowBits(r)
+	for w, word := range prBits {
+		for ; word != 0; word &= word - 1 {
+			j := w<<6 | bits.TrailingZeros64(word)
+			if v := pr[j]; v != 0 {
+				pr[j] = v * inv
+				cols = append(cols, j)
+			} else {
+				prBits[w] &^= word & -word
+			}
 		}
 	}
 	pr[c] = 1 // exact
@@ -323,7 +384,23 @@ func (t *tableau) pivot(r, c int, rows []int) {
 			ri[j] -= f * pr[j]
 		}
 		ri[c] = 0 // exact
+		riBits := t.rowBits(i)
+		for w, word := range prBits {
+			riBits[w] |= word
+		}
 	}
+	cBits := t.colBits(c)
+	for _, j := range cols {
+		if j == c {
+			continue
+		}
+		jBits := t.colBits(j)
+		for w, word := range cBits {
+			jBits[w] |= word
+		}
+	}
+	clear(cBits)
+	cBits[r>>6] = 1 << (r & 63)
 	t.basis[r] = c
 }
 
@@ -331,9 +408,14 @@ func (t *tableau) pivot(r, c int, rows []int) {
 // entry is nonzero, in the tableau's row scratch.
 func (t *tableau) nonzeroRows(c int) []int {
 	rows := t.rows[:0]
-	for i := 0; i <= t.m; i++ {
-		if t.at(i, c) != 0 {
-			rows = append(rows, i)
+	col := t.colBits(c)
+	for w, word := range col {
+		for ; word != 0; word &= word - 1 {
+			if i := w<<6 | bits.TrailingZeros64(word); t.at(i, c) != 0 {
+				rows = append(rows, i)
+			} else {
+				col[w] &^= word & -word
+			}
 		}
 	}
 	return rows
@@ -367,6 +449,7 @@ func (t *tableau) purgeArtificials() {
 			ri[j] = 0
 		}
 		ri[t.basis[i]] = 1 // keep the artificial formally basic at 0
+		t.mark(i, t.basis[i])
 	}
 	// Artificial columns are intentionally left intact: phase 2 never
 	// prices them (iterate's hi excludes them), and their tableau
