@@ -167,7 +167,7 @@ type Options struct {
 	// returns. See docs/OBSERVABILITY.md for the span taxonomy.
 	Trace *Trace
 	// Metrics, when non-nil, accumulates the solver counter series
-	// (LP pivots, cut rounds, pool occupancy, ...); export with
+	// (LP pivots, LP solves, pool occupancy, ...); export with
 	// Metrics.WriteJSON or Metrics.WritePrometheus. Both default to
 	// nil — telemetry off, at zero allocation cost.
 	Metrics *Metrics
@@ -241,8 +241,6 @@ func (o *Options) control() (*robust.Control, context.CancelFunc) {
 func (o *Options) coreOptions(ctl *robust.Control) core.Options {
 	return core.Options{
 		MM:          o.MMBox.solver(),
-		Engine:      tise.Float64,
-		Strategy:    tise.Direct,
 		TrimIdle:    o.TrimIdleCalibrations,
 		Parallelism: o.Parallelism,
 		Trace:       o.Trace,

@@ -2,9 +2,10 @@ package calib_test
 
 // Cancellation conformance: every exported solve entry point must
 // return within 100ms of its context being canceled, even deep inside
-// a pathological instance's hot loop (LP pivots, branch-and-bound
-// nodes, MM probes). The per-engine check cadences (every pivot for
-// the dense/rational engines, every 32 pivots for the revised engine,
+// a pathological instance's hot loop (LP build and pivots,
+// branch-and-bound nodes, MM probes). The per-engine check cadences
+// (every 64 rows of the dense tableau's build and every pivot for the
+// dense/rational engines, every 32 pivots for the revised engine,
 // every 512 nodes for the searches) are sized so this bound holds
 // comfortably under -race.
 
@@ -28,6 +29,12 @@ import (
 // cancelLatencyBound is the conformance bound: time from cancel() to
 // the solve entry point returning.
 const cancelLatencyBound = 100 * time.Millisecond
+
+// cancelAfter is how long each case runs before it is canceled. It is
+// at most a third of the fastest case's uncanceled time (SolveRobust on
+// hardLong, about 95ms on a 2-vCPU VM without -race), so every case is
+// still mid-solve when the cancel lands.
+const cancelAfter = 25 * time.Millisecond
 
 // hardInstances builds instances big enough that each solver is still
 // mid-search when the cancel lands.
@@ -79,11 +86,9 @@ func TestCancelConformance(t *testing.T) {
 			_, err := tise.Solve(hardLong(t), tise.Options{Control: ctl})
 			return err
 		}},
-		{"tise.Solve/bounded", func(ctx context.Context) error {
+		{"tise.Solve/revised", func(ctx context.Context) error {
 			ctl := robust.NewControl(ctx, 0, obs.NewRegistry())
-			_, err := tise.Solve(hardLong(t), tise.Options{
-				Engine: tise.Revised, Strategy: tise.Bounded, Control: ctl,
-			})
+			_, err := tise.Solve(hardLong(t), tise.Options{Engine: tise.Revised, Control: ctl})
 			return err
 		}},
 		{"exact.Solve", func(ctx context.Context) error {
@@ -112,20 +117,21 @@ func TestCancelConformance(t *testing.T) {
 			// Let the solver reach its hot loop before pulling the plug.
 			select {
 			case err := <-done:
-				// Finished before the cancel: latency is vacuously met,
-				// but note it — the instance should be hardened if this
-				// starts happening.
-				t.Logf("solve finished before cancel (err=%v); instance too easy to exercise latency", err)
+				// Finished before the cancel: the latency bound would be
+				// met vacuously, so the case checks nothing.
+				t.Errorf("solve finished before cancel (err=%v); instance too easy to exercise latency", err)
 				return
-			case <-time.After(150 * time.Millisecond):
+			case <-time.After(cancelAfter):
 			}
 			t0 := time.Now()
 			cancel()
 			select {
 			case err := <-done:
-				if d := time.Since(t0); d > cancelLatencyBound {
+				d := time.Since(t0)
+				if d > cancelLatencyBound {
 					t.Errorf("returned %v after cancel, want <= %v", d, cancelLatencyBound)
 				}
+				t.Logf("returned %v after cancel", d)
 				if err == nil {
 					t.Error("canceled solve returned nil error")
 				} else if !errors.Is(err, context.Canceled) {

@@ -5,37 +5,8 @@ import (
 	"testing"
 
 	"calib"
-	"calib/internal/core"
-	"calib/internal/tise"
 	"calib/internal/workload"
 )
-
-// TestWarmStartOption: the warm-started LP path (revised engine,
-// bounded strategy, selected through core.Options) must agree with the
-// facade's default pipeline on feasibility and LP objective, monolithic
-// and decomposed. BenchmarkT1LongWindowN40 times this path.
-func TestWarmStartOption(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 4; trial++ {
-		inst, _ := workload.Mixed(rng, 14, 2, 10, 0.6)
-		slow, err := calib.Solve(inst, nil)
-		if err != nil {
-			t.Fatalf("trial %d default: %v", trial, err)
-		}
-		for _, par := range []int{0, 4} {
-			fast, err := core.Solve(inst, core.Options{Parallelism: par, Engine: tise.Revised, Strategy: tise.Bounded})
-			if err != nil {
-				t.Fatalf("trial %d par %d warm: %v", trial, par, err)
-			}
-			if err := calib.Validate(inst, fast.Schedule); err != nil {
-				t.Fatalf("trial %d par %d: warm schedule infeasible: %v", trial, par, err)
-			}
-			if d := slow.LPObjective - fast.LPObjective; d > 1e-6 || d < -1e-6 {
-				t.Fatalf("trial %d par %d: LP objective default %v != warm %v", trial, par, slow.LPObjective, fast.LPObjective)
-			}
-		}
-	}
-}
 
 // TestParallelismOption: clustered instances decompose; the result
 // stays feasible, deterministic across worker counts, and reports the

@@ -8,7 +8,6 @@ import (
 	"calib/internal/exact"
 	"calib/internal/ise"
 	"calib/internal/mm"
-	"calib/internal/tise"
 	"calib/internal/workload"
 )
 
@@ -116,18 +115,6 @@ func TestSolveAgainstExactRatio(t *testing.T) {
 		}
 	}
 	t.Logf("worst observed end-to-end ratio over %d trials: %.2f", trials, worst)
-}
-
-func TestSolveEngineOption(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	inst, _ := workload.Long(rng, 5, 1, 8)
-	res, err := Solve(inst, Options{Engine: tise.Rational})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ise.Validate(inst, res.Schedule); err != nil {
-		t.Fatalf("rational-engine schedule infeasible: %v", err)
-	}
 }
 
 func TestSolveInvalidInstance(t *testing.T) {

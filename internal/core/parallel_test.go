@@ -6,7 +6,6 @@ import (
 
 	"calib/internal/ise"
 	"calib/internal/replay"
-	"calib/internal/tise"
 	"calib/internal/workload"
 )
 
@@ -101,28 +100,6 @@ func TestParallelMatchesMonolithicObjective(t *testing.T) {
 		if len(par.Parts) != par.Components {
 			t.Fatalf("trial %d: Parts has %d entries, want %d", trial, len(par.Parts), par.Components)
 		}
-	}
-}
-
-// TestParallelBoundedStrategy runs the full fast path: decomposition +
-// bounded LP strategy on the revised engine, cross-checked against the
-// default pipeline's calibration count and LP objective.
-func TestParallelBoundedStrategy(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	inst, _ := workload.Clustered(rng, 3, 5, 2, 10)
-	slow, err := Solve(inst, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := Solve(inst, Options{Parallelism: 4, Engine: tise.Revised, Strategy: tise.Bounded})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ise.Validate(inst, fast.Schedule); err != nil {
-		t.Fatal(err)
-	}
-	if d := slow.LPObjective - fast.LPObjective; d > 1e-6 || d < -1e-6 {
-		t.Fatalf("LP objective slow %v != fast %v", slow.LPObjective, fast.LPObjective)
 	}
 }
 

@@ -317,12 +317,12 @@ func T5UnitBaselines(cfg Config) *Table {
 	return t
 }
 
-// T6LPEngines is the LP ablation: float64 vs exact rational arithmetic
-// and direct vs lazy-cut row generation, on the same TISE relaxations.
-// All four configurations must agree on the optimum.
+// T6LPEngines is the LP engine ablation: the served float64 dense
+// tableau, the sparse revised simplex and exact rational arithmetic on
+// the same TISE relaxations. All three must agree on the optimum.
 func T6LPEngines(cfg Config) *Table {
-	t := NewTable("T6 — LP ablation: engines (dense/revised/rational) and row strategies (direct/lazy cuts/bounded)",
-		"n", "obj", "|f-r|", "direct ms", "revised ms", "bounded ms", "lazy ms", "cuts/pairs", "rat ms", "rat/float")
+	t := NewTable("T6 — LP ablation: engines (dense/revised/rational) on the same TISE relaxations",
+		"n", "obj", "|f-r|", "direct ms", "revised ms", "rat ms", "rat/float")
 	rng := rand.New(rand.NewSource(106))
 	sizes := []int{4, 8, 12}
 	if cfg.Quick {
@@ -331,58 +331,32 @@ func T6LPEngines(cfg Config) *Table {
 	for _, sz := range sizes {
 		inst, _ := workload.Long(rng, sz, 1, 10)
 		t0 := time.Now()
-		fd, err := tise.SolveLPWith(inst, 3, tise.Float64, tise.Direct)
+		fd, err := tise.SolveLP(inst, 3, tise.Float64)
 		if err != nil {
 			panic(err)
 		}
 		directMS := time.Since(t0)
 		t0 = time.Now()
-		fv, err := tise.SolveLPWith(inst, 3, tise.Revised, tise.Direct)
+		fv, err := tise.SolveLP(inst, 3, tise.Revised)
 		if err != nil {
 			panic(err)
 		}
 		revisedMS := time.Since(t0)
-		t0 = time.Now()
-		fb, err := tise.SolveLPWith(inst, 3, tise.Revised, tise.Bounded)
-		if err != nil {
-			panic(err)
-		}
-		boundedMS := time.Since(t0)
-		t0 = time.Now()
-		fl, err := tise.SolveLPWith(inst, 3, tise.Float64, tise.LazyCuts)
-		if err != nil {
-			panic(err)
-		}
-		lazyMS := time.Since(t0)
 		t0 = time.Now()
 		r, err := tise.SolveLP(inst, 3, tise.Rational)
 		if err != nil {
 			panic(err)
 		}
 		rms := time.Since(t0)
-		if math.Abs(fd.Objective-fl.Objective) > 1e-6*(1+fd.Objective) {
-			panic("exp: lazy-cut optimum differs from direct optimum")
-		}
 		if math.Abs(fd.Objective-fv.Objective) > 1e-6*(1+fd.Objective) {
 			panic("exp: revised-simplex optimum differs from dense optimum")
 		}
-		if math.Abs(fd.Objective-fb.Objective) > 1e-6*(1+fd.Objective) {
-			panic("exp: bounded-strategy optimum differs from dense optimum")
+		diff := math.Abs(fd.Objective - r.Objective)
+		if diff > 1e-6*(1+fd.Objective) {
+			panic("exp: rational optimum differs from dense optimum")
 		}
-		diff := math.Abs(fl.Objective - r.Objective)
-		pairs := 0
-		for j := range fl.X {
-			for i := range fl.Points {
-				if tise.Feasible(inst.T, inst.Jobs[j], fl.Points[i]) {
-					pairs++
-				}
-			}
-		}
-		t.Add(inst.N(), fl.Objective, diff,
+		t.Add(inst.N(), fd.Objective, diff,
 			float64(directMS.Microseconds())/1000, float64(revisedMS.Microseconds())/1000,
-			float64(boundedMS.Microseconds())/1000,
-			float64(lazyMS.Microseconds())/1000,
-			fmt.Sprintf("%d/%d", fl.CutsAdded, pairs),
 			float64(rms.Microseconds())/1000, float64(rms)/float64(directMS+1))
 	}
 	return t

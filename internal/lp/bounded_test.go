@@ -3,6 +3,8 @@ package lp
 import (
 	"math"
 	"testing"
+
+	"calib/internal/obs"
 )
 
 // boundedFixture builds min -x0 - 2*x1 subject to x0 + x1 <= 7,
@@ -165,53 +167,36 @@ func TestWarmStartRHSChange(t *testing.T) {
 	}
 }
 
-func TestWarmStartAppendedCuts(t *testing.T) {
-	base := rebuildFixture(7)
-	first, err := SolveRevised(base)
-	if err != nil || first.Status != Optimal {
-		t.Fatalf("cold solve: %v %v", first.Status, err)
-	}
-	// Append a violated cut (the old optimum x=[2 5] breaks x0+2*x1<=10)
-	// and re-solve warm: the dual simplex repairs the old basis.
-	cut := rebuildFixture(7)
-	cut.AddConstraint(LE, 10, Term{0, 1}, Term{1, 2})
-	warm, err := SolveRevisedWith(cut, RevisedOptions{Warm: first.Basis})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := SolveRevised(cut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Status != Optimal || cold.Status != Optimal {
-		t.Fatalf("status warm=%v cold=%v", warm.Status, cold.Status)
-	}
-	if math.Abs(warm.Objective-cold.Objective) > 1e-8 {
-		t.Fatalf("warm obj %v != cold %v", warm.Objective, cold.Objective)
-	}
-	rational, err := SolveRational(cut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(warm.Objective-rational.ObjectiveFloat()) > 1e-8 {
-		t.Fatalf("warm obj %v != rational %v", warm.Objective, rational.ObjectiveFloat())
-	}
-}
-
+// TestWarmStartInfeasibleCut re-solves from a warm basis after an rhs
+// change that makes the problem infeasible (x + y >= 10 beside
+// x + y <= 5), as mm.LPSearch does on every infeasible machine-count
+// probe. The dual repair finds the infeasibility, and on both basis
+// representations the engine re-proves it with a cold phase 1 before
+// reporting it, counted once as reason=infeasible_reproof.
 func TestWarmStartInfeasibleCut(t *testing.T) {
-	base := rebuildFixture(7)
-	first, err := SolveRevised(base)
-	if err != nil || first.Status != Optimal {
-		t.Fatalf("cold solve: %v %v", first.Status, err)
-	}
-	bad := rebuildFixture(7)
-	bad.AddConstraint(GE, 100, Term{0, 1}, Term{1, 1}) // x0+x1 >= 100 impossible
-	warm, err := SolveRevisedWith(bad, RevisedOptions{Warm: first.Basis})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Status != Infeasible {
-		t.Fatalf("status = %v, want Infeasible", warm.Status)
+	for _, dense := range []bool{false, true} {
+		p := NewProblem()
+		x := p.AddVar("x", 1)
+		y := p.AddVar("y", 2)
+		p.AddConstraint(GE, 1, Term{x, 1}, Term{y, 1})
+		p.AddConstraint(LE, 5, Term{x, 1}, Term{y, 1})
+		first, err := SolveRevisedWith(p, RevisedOptions{DenseBasis: dense})
+		if err != nil || first.Status != Optimal {
+			t.Fatalf("dense=%v: cold solve: %v %v", dense, first.Status, err)
+		}
+		p.SetRHS(0, 10)
+		reg := obs.NewRegistry()
+		warm, err := SolveRevisedWith(p, RevisedOptions{Warm: first.Basis, Metrics: reg, DenseBasis: dense})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.Status != Infeasible {
+			t.Fatalf("dense=%v: status = %v, want Infeasible", dense, warm.Status)
+		}
+		if got := reg.CounterWith(obs.MLPColdFallback, "reason", obs.ReasonInfeasReproof).Value(); got != 1 {
+			t.Errorf("dense=%v: %s{reason=%q} = %d, want 1",
+				dense, obs.MLPColdFallback, obs.ReasonInfeasReproof, got)
+		}
 	}
 }
 
@@ -234,6 +219,23 @@ func TestWarmStartStaleBasis(t *testing.T) {
 	sol, err = SolveRevisedWith(p, RevisedOptions{Warm: &Basis{Basic: []int{2}, AtUpper: []int{0, 1}, Vars: 2, Rows: 1}})
 	if err != nil || sol.Status != Optimal || math.Abs(sol.Objective-(-12)) > 1e-9 {
 		t.Fatalf("at-upper basis: %v obj %v err %v", sol.Status, sol.Objective, err)
+	}
+	// Fewer rows: the basis of the same problem before a row was
+	// appended no longer fits, and the solve falls back cold as
+	// basis_shape. x0 + 2*x1 <= 10 caps the optimum at -10.
+	first, err := SolveRevised(boundedFixture())
+	if err != nil || first.Status != Optimal {
+		t.Fatalf("cold solve: %v %v", first.Status, err)
+	}
+	cut := boundedFixture()
+	cut.AddConstraint(LE, 10, Term{0, 1}, Term{1, 2})
+	reg := obs.NewRegistry()
+	sol, err = SolveRevisedWith(cut, RevisedOptions{Warm: first.Basis, Metrics: reg})
+	if err != nil || sol.Status != Optimal || math.Abs(sol.Objective-(-10)) > 1e-9 {
+		t.Fatalf("fewer-rows basis: %v obj %v err %v", sol.Status, sol.Objective, err)
+	}
+	if got := reg.CounterWith(obs.MLPColdFallback, "reason", obs.ReasonBasisShape).Value(); got != 1 {
+		t.Errorf("%s{reason=%q} = %d, want 1", obs.MLPColdFallback, obs.ReasonBasisShape, got)
 	}
 }
 

@@ -627,10 +627,11 @@ func (b *luBasis) pickBumpPivot(D []float64, k int, rAlive, cAlive []bool, rnz, 
 // adoptWarm clones the factor carried by a warm Basis and verifies it
 // against the current columns with the probe check. Cloning (O(nnz))
 // keeps the shared Basis immutable, so concurrent warm solves from the
-// same basis stay race-free. Row-extended problems refactorize instead
-// (the factor shape no longer matches).
+// same basis stay race-free. A basis without a factor of the right
+// shape (a hand-built one, or one from the dense representation)
+// refactorizes instead.
 func (b *luBasis) adoptWarm(t *revTableau, warm *Basis) bool {
-	if warm.lu == nil || warm.Rows != t.m || warm.lu.m != t.m {
+	if warm.lu == nil || warm.lu.m != t.m {
 		return false
 	}
 	b.m = t.m

@@ -18,7 +18,7 @@ type workspace struct {
 	y, w, rho, d, alpha, rvec []float64
 	cpos, cost1, cost2        []float64
 	probeU, probeZ            []float64
-	basis, artOf              []int
+	basis                     []int
 	inBasis, atUpper          []bool
 
 	// Standard-form column backing: one CSR arena for the structural

@@ -273,6 +273,6 @@ type Solution struct {
 	Dual []float64
 	// Basis is the final simplex basis, populated by the revised engine
 	// only. Pass it back via RevisedOptions.Warm to warm-start a
-	// related solve (same variables, appended rows, or changed rhs).
+	// related solve (same variables and rows, changed rhs).
 	Basis *Basis
 }

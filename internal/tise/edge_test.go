@@ -1,6 +1,7 @@
 package tise
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -73,65 +74,61 @@ func TestSolveIdenticalJobs(t *testing.T) {
 }
 
 // TestSolveRevisedEngineEndToEnd runs the whole long-window pipeline on
-// the revised-simplex engine.
+// the revised-simplex and rational engines: each must produce a feasible
+// schedule and match the dense engine's LP optimum.
 func TestSolveRevisedEngineEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	for trial := 0; trial < 6; trial++ {
 		inst, _ := workload.Long(rng, 8, 1, 10)
-		res, err := Solve(inst, Options{Engine: Revised})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if err := ise.ValidateTISE(inst, res.Schedule); err != nil {
-			t.Fatalf("trial %d: infeasible: %v", trial, err)
-		}
-		// The revised engine must match the dense engine's optimum.
 		dense, err := Solve(inst, Options{Engine: Float64})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := res.LP.Objective - dense.LP.Objective; d > 1e-6 || d < -1e-6 {
-			t.Errorf("trial %d: LP objectives differ: revised %v, dense %v",
-				trial, res.LP.Objective, dense.LP.Objective)
-		}
-	}
-}
-
-// TestLazyCutsMatchesDirectOnSolve runs full pipelines under both row
-// strategies and compares the LP optima.
-func TestLazyCutsMatchesDirectOnSolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(89))
-	inst, _ := workload.Long(rng, 8, 1, 10)
-	direct, err := SolveLPWith(inst, 3, Float64, Direct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lazy, err := SolveLPWith(inst, 3, Float64, LazyCuts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := direct.Objective - lazy.Objective; d > 1e-6 || d < -1e-6 {
-		t.Fatalf("objectives differ: direct %v, lazy %v", direct.Objective, lazy.Objective)
-	}
-	if lazy.CutRounds == 0 {
-		t.Error("lazy strategy recorded no cut rounds")
-	}
-	// The lazy final solution must satisfy every constraint (2) row.
-	for j := range lazy.X {
-		for i := range lazy.Points {
-			if lazy.X[j][i] > lazy.C[i]+1e-6 {
-				t.Fatalf("constraint (2) violated in lazy solution: X[%d][%d]=%v > C=%v",
-					j, i, lazy.X[j][i], lazy.C[i])
+		for _, engine := range []Engine{Revised, Rational} {
+			res, err := Solve(inst, Options{Engine: engine})
+			if err != nil {
+				t.Fatalf("trial %d %v: %v", trial, engine, err)
+			}
+			if err := ise.ValidateTISE(inst, res.Schedule); err != nil {
+				t.Fatalf("trial %d %v: infeasible: %v", trial, engine, err)
+			}
+			if d := res.LP.Objective - dense.LP.Objective; d > 1e-6 || d < -1e-6 {
+				t.Errorf("trial %d: LP objectives differ: %v %v, dense %v",
+					trial, engine, res.LP.Objective, dense.LP.Objective)
 			}
 		}
 	}
 }
 
-// TestStrategyString covers the enum printer.
+// TestStrategyString covers the strategy printer: Direct is the only
+// value the type admits.
 func TestStrategyString(t *testing.T) {
-	for _, s := range []Strategy{Direct, LazyCuts, Strategy(9)} {
-		if s.String() == "" {
-			t.Errorf("empty string for strategy %d", int(s))
-		}
+	if got := Direct.String(); got != "direct" {
+		t.Errorf("Direct.String() = %q, want direct", got)
+	}
+	if got := (Options{}).Strategy; got != Direct {
+		t.Errorf("zero Options.Strategy = %v, want Direct", got)
+	}
+}
+
+// TestNumericalErrorDistinct checks the error taxonomy: infeasibility
+// and numerical failure are distinguishable via errors.As.
+func TestNumericalErrorDistinct(t *testing.T) {
+	in := ise.NewInstance(10, 1)
+	in.AddJob(0, 20, 8)
+	in.AddJob(0, 20, 8)
+	in.AddJob(0, 20, 8)
+	_, err := SolveLP(in, 1, Revised)
+	var inf *InfeasibleError
+	if !errors.As(err, &inf) {
+		t.Fatalf("expected *InfeasibleError, got %v", err)
+	}
+	var num *NumericalError
+	if errors.As(err, &num) {
+		t.Fatal("InfeasibleError must not satisfy *NumericalError")
+	}
+	ne := &NumericalError{MPrime: 3}
+	if ne.Error() == "" {
+		t.Fatal("empty NumericalError message")
 	}
 }

@@ -16,9 +16,8 @@ type Options struct {
 	// MPrime overrides the TISE machine bound m' used by the LP; when
 	// zero the paper's m' = 3m is used (Lemma 2).
 	MPrime int
-	// Strategy selects the constraint (2) row handling (default
-	// Direct). Bounded is the hot-path configuration: implied variable
-	// bounds plus warm-started lazy cuts on the revised engine.
+	// Strategy names the constraint (2) row handling; Direct, its only
+	// value, is the zero value.
 	Strategy Strategy
 	// Span, when non-nil, parents the lp/rounding/edf stage spans.
 	Span *obs.Span
@@ -27,7 +26,7 @@ type Options struct {
 	// neither installed telemetry is disabled at zero cost.
 	Metrics *obs.Registry
 	// Control carries the solve's cancellation context and work budget
-	// into the LP pivot loops and the cut loop. nil means no limits.
+	// into the LP build and pivot loops. nil means no limits.
 	Control *robust.Control
 }
 
@@ -82,7 +81,7 @@ func Solve(inst *ise.Instance, opts Options) (*Result, error) {
 	sp.SetStr("engine", opts.Engine.String())
 	sp.SetStr("strategy", opts.Strategy.String())
 	sp.SetInt("mprime", int64(mPrime))
-	frac, err := solveLP(inst, mPrime, opts.Engine, opts.Strategy, nil, met, opts.Control)
+	frac, err := solveLP(inst, mPrime, opts.Engine, met, opts.Control)
 	if err != nil {
 		sp.End()
 		return nil, err
@@ -90,7 +89,6 @@ func Solve(inst *ise.Instance, opts Options) (*Result, error) {
 	sp.SetInt("points", int64(len(frac.Points)))
 	sp.SetFloat("objective", frac.Objective)
 	sp.SetInt("pivots", int64(frac.Iterations))
-	sp.SetInt("cut_rounds", int64(frac.CutRounds))
 	sp.End()
 	tm.LP = time.Since(t0)
 	t0 = time.Now()

@@ -6,7 +6,7 @@
 # A telemetry block from one instrumented parallel solve on the
 # production LP path (isegen clustered -> isesolve -par 4 -metrics-out)
 # rides along so the report also captures what the solver *did*:
-# pivots, cut-loop resolves, components, pool occupancy. A second report,
+# pivots, LP solves, components, pool occupancy. A second report,
 # BENCH_service.json, records the ised daemon's end-to-end request
 # numbers (fresh-solve mix and pure cache hits) from the
 # internal/server benchmarks.
@@ -73,8 +73,6 @@ END {
 	printf "    \"required_min\": 2.0\n"
 	printf "  },\n"
 	printf "  \"t8_scaling\": {\n"
-	printf "    \"bounded_vs_pair_rows\": %s,\n", jnum(speedup["BoundedVsPairRows"])
-	printf "    \"warm_vs_cold\": %s,\n", jnum(speedup["WarmVsCold"])
 	printf "    \"decomposed_vs_monolithic\": %s\n", jnum(speedup["DecomposedVsMonolithic"])
 	printf "  },\n"
 	printf "  \"telemetry\": {\n"

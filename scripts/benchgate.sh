@@ -6,9 +6,12 @@
 # BenchmarkServedLadder, calib.SolveRobust over a fixed corpus of
 # every workload family as ised serves it) on the working tree and on
 # a base ref checked out into a throwaway git worktree, then fails if
-# any sub-benchmark's mean ns/op — or, where both sides report it,
-# mean allocs/op — regressed by more than BENCHGATE_PCT percent
-# (default 10). A benchmark the base lacks is reported and skipped.
+# any sub-benchmark's mean ns/op — or, where both sides report them,
+# mean allocs/op, pivots/op or nodes/op — regressed by more than
+# BENCHGATE_PCT percent (default 10). Pivots and search nodes are
+# deterministic work units: they move only when the solver's decisions
+# do, so they judge a solver change even when short timings swing with
+# the host. A benchmark the base lacks is reported and skipped.
 #
 # Part 2 (absolute): runs the service hot-path benchmarks
 # (BenchmarkServiceSolve, BenchmarkServiceCacheHit) on the working
@@ -82,17 +85,20 @@ if command -v benchstat >/dev/null 2>&1; then
 	benchstat "$BASE_OUT" "$HEAD_OUT" || true
 fi
 
-# Mean ns/op and allocs/op per sub-benchmark (CPU-count suffix
-# stripped), base vs head; sub-benchmarks or units that exist on only
-# one side are reported but never gate — a PR adding or renaming a
-# benchmark (or turning on ReportAllocs) must not fail here.
+# Mean ns/op, allocs/op, pivots/op and nodes/op per sub-benchmark
+# (CPU-count suffix stripped), base vs head; sub-benchmarks or units
+# that exist on only one side are reported but never gate — a PR
+# adding or renaming a benchmark (or turning on ReportAllocs) must not
+# fail here.
 awk -v pct="$PCT" '
+BEGIN { nunits = split("allocs/op pivots/op nodes/op", unit, " ") }
 FNR == NR && /^Benchmark/ {
 	name = $1
 	sub(/-[0-9]+$/, "", name)
 	for (i = 2; i <= NF; i++) {
 		if ($i == "ns/op") { bsum[name] += $(i - 1); bn[name]++ }
-		if ($i == "allocs/op") { basum[name] += $(i - 1); ban[name]++ }
+		for (u = 1; u <= nunits; u++)
+			if ($i == unit[u]) { busum[name, u] += $(i - 1); bun[name, u]++ }
 	}
 	next
 }
@@ -101,7 +107,8 @@ FNR == NR && /^Benchmark/ {
 	sub(/-[0-9]+$/, "", name)
 	for (i = 2; i <= NF; i++) {
 		if ($i == "ns/op") { hsum[name] += $(i - 1); hn[name]++ }
-		if ($i == "allocs/op") { hasum[name] += $(i - 1); han[name]++ }
+		for (u = 1; u <= nunits; u++)
+			if ($i == unit[u]) { husum[name, u] += $(i - 1); hun[name, u]++ }
 	}
 }
 END {
@@ -118,16 +125,17 @@ END {
 		checked++
 		status = "ok"
 		if (delta > pct) { status = "REGRESSION"; fail = 1 }
-		printf "benchgate: %-55s base %12.0f ns/op      head %12.0f ns/op      %+8.2f%%  %s\n", \
-			name, base, head, delta, status
-		if ((name in ban) && (name in han) && basum[name] > 0) {
-			abase = basum[name] / ban[name]
-			ahead = hasum[name] / han[name]
-			adelta = (ahead - abase) / abase * 100
+		printf "benchgate: %-55s base %12.0f %-10s head %12.0f %-10s %+8.2f%%  %s\n", \
+			name, base, "ns/op", head, "ns/op", delta, status
+		for (u = 1; u <= nunits; u++) {
+			if (!((name, u) in bun) || !((name, u) in hun) || busum[name, u] <= 0) continue
+			ubase = busum[name, u] / bun[name, u]
+			uhead = husum[name, u] / hun[name, u]
+			udelta = (uhead - ubase) / ubase * 100
 			status = "ok"
-			if (adelta > pct) { status = "REGRESSION"; fail = 1 }
-			printf "benchgate: %-55s base %12.0f allocs/op  head %12.0f allocs/op  %+8.2f%%  %s\n", \
-				name, abase, ahead, adelta, status
+			if (udelta > pct) { status = "REGRESSION"; fail = 1 }
+			printf "benchgate: %-55s base %12.0f %-10s head %12.0f %-10s %+8.2f%%  %s\n", \
+				name, ubase, unit[u], uhead, unit[u], udelta, status
 		}
 	}
 	for (name in bn) {
