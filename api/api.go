@@ -4,6 +4,14 @@
 // through these structs, so the two sides cannot drift; other-language
 // clients can treat this file as the API reference alongside
 // docs/SERVICE.md.
+//
+// The /v1/solve bodies, and the JSON body of /v1/cache/entries built
+// from them, are (de)serialized by the plain functions of wire.go
+// rather than by reflection: ised, isedfleet and the Go client all
+// use them on the solve and replication paths. Their contract is
+// encoding/json's own, byte for byte, so the wire format is the one
+// the struct tags below describe; every other body goes through
+// encoding/json.
 package api
 
 import "calib"

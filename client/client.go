@@ -178,16 +178,19 @@ func (c *Client) retries() int {
 	}
 }
 
-// encBuf is a pooled wire-encoding buffer with its encoder bound once,
-// so a steady stream of Solve calls reuses one arena instead of
-// re-allocating the marshalled body (and encoder state) per request.
-type encBuf struct {
-	buf bytes.Buffer
-	enc *json.Encoder
+// wireBuf is a call's pooled wire buffers: the encoded request body,
+// with an encoder bound once for the bodies the api codec does not
+// cover, and the buffer a /v1/solve answer is read into and decoded
+// from. A steady stream of Solve calls reuses them instead of
+// re-allocating bodies (and encoder state) per request.
+type wireBuf struct {
+	buf  bytes.Buffer
+	enc  *json.Encoder
+	resp bytes.Buffer
 }
 
-var encPool = sync.Pool{New: func() any {
-	e := new(encBuf)
+var wirePool = sync.Pool{New: func() any {
+	e := new(wireBuf)
 	e.enc = json.NewEncoder(&e.buf)
 	return e
 }}
@@ -218,10 +221,14 @@ func (c *Client) post(ctx context.Context, path string, body, out any) error {
 // keeps one ID across its failover attempts on different nodes, so
 // every backend's decision log files the hops under the same request.
 func (c *Client) postID(ctx context.Context, path, id string, body, out any) error {
-	eb := encPool.Get().(*encBuf)
-	defer encPool.Put(eb)
+	eb := wirePool.Get().(*wireBuf)
+	defer wirePool.Put(eb)
 	eb.buf.Reset()
-	if err := eb.enc.Encode(body); err != nil {
+	if req, ok := body.(*api.SolveRequest); ok {
+		// The codec's bytes are json.Marshal's; the newline keeps the
+		// body what Encode wrote.
+		eb.buf.Write(append(api.AppendSolveRequest(eb.buf.AvailableBuffer(), req), '\n'))
+	} else if err := eb.enc.Encode(body); err != nil {
 		return fmt.Errorf("encoding request: %w", err)
 	}
 	buf := eb.buf.Bytes()
@@ -241,7 +248,7 @@ func (c *Client) postID(ctx context.Context, path, id string, body, out any) err
 			return err
 		}
 		t0 := time.Now()
-		lastErr = c.once(ctx, path, id, buf, out)
+		lastErr = c.once(ctx, path, id, buf, out, &eb.resp)
 		retryable, hint := retryInfo(lastErr)
 		// The breaker counts service health, not request validity: a
 		// 422 or 400 is a healthy daemon doing its job, so only
@@ -303,8 +310,10 @@ func backoffDelay(base, maxDelay, hint time.Duration, attempt int, rnd func(int6
 	return d
 }
 
-// once performs a single HTTP attempt.
-func (c *Client) once(ctx context.Context, path, id string, body []byte, out any) error {
+// once performs a single HTTP attempt. A /v1/solve answer is read
+// whole into rb and decoded there by the api codec; other bodies
+// stream through encoding/json.
+func (c *Client) once(ctx context.Context, path, id string, body []byte, out any, rb *bytes.Buffer) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
 	if err != nil {
 		return err
@@ -319,7 +328,15 @@ func (c *Client) once(ctx context.Context, path, id string, body []byte, out any
 	if resp.StatusCode != http.StatusOK {
 		return decodeError(resp)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if sr, ok := out.(*api.SolveResponse); ok {
+		rb.Reset()
+		if _, err = rb.ReadFrom(resp.Body); err == nil {
+			err = api.DecodeSolveResponse(rb.Bytes(), sr)
+		}
+	} else {
+		err = json.NewDecoder(resp.Body).Decode(out)
+	}
+	if err != nil {
 		return fmt.Errorf("decoding response: %w", err)
 	}
 	return nil

@@ -3,13 +3,13 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"sync"
 	"time"
 
+	"calib/api"
 	"calib/internal/cache"
 	"calib/internal/obs"
 )
@@ -219,10 +219,8 @@ func (r *replicator) close() {
 // Cached responses are skipped: a hit's replicas were written when the
 // entry was first solved.
 func (f *Fleet) enqueueSolve(key uint64, servedBy string, replicas []string, reqBody, respBody []byte) {
-	var m struct {
-		Cached bool `json:"cached"`
-	}
-	if json.Unmarshal(respBody, &m) != nil || m.Cached {
+	var m api.SolveResponse
+	if api.DecodeSolveResponse(respBody, &m) != nil || m.Cached {
 		return
 	}
 	// One api.CacheEntry object, assembled from the raw request and

@@ -83,11 +83,7 @@ type routeScratch struct {
 var routePool = sync.Pool{New: func() any { return new(routeScratch) }}
 
 func (rs *routeScratch) reset() {
-	jobs := rs.inst.Jobs[:cap(rs.inst.Jobs)]
-	for i := range jobs {
-		jobs[i] = ise.Job{}
-	}
-	rs.inst = ise.Instance{Jobs: jobs[:0]}
+	rs.inst = ise.Instance{Jobs: rs.inst.Jobs[:0]}
 	rs.req = api.SolveRequest{Instance: &rs.inst}
 }
 
@@ -116,7 +112,7 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	rs := routePool.Get().(*routeScratch)
 	defer routePool.Put(rs)
 	rs.reset()
-	if err := rt.readJSON(w, r, &rs.body, &rs.req); err != nil {
+	if err := rt.readJSON(w, r, &rs.body, func(b []byte) error { return api.DecodeSolveRequest(b, &rs.req) }); err != nil {
 		rt.fail(w, http.StatusBadRequest, err, id, 0)
 		return
 	}
@@ -372,7 +368,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	rs := routePool.Get().(*routeScratch)
 	defer routePool.Put(rs)
 	var req api.BatchRequest
-	if err := rt.readJSON(w, r, &rs.body, &req); err != nil {
+	if err := rt.readJSON(w, r, &rs.body, func(b []byte) error { return json.Unmarshal(b, &req) }); err != nil {
 		rt.fail(w, http.StatusBadRequest, err, id, 0)
 		return
 	}
@@ -450,14 +446,14 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // readJSON slurps the size-capped body into the pooled buffer and
-// unmarshals from it (same shape as the backends' reader).
-func (rt *Router) readJSON(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer, dst any) error {
+// decodes it from there (same shape as the backends' reader).
+func (rt *Router) readJSON(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer, decode func([]byte) error) error {
 	r.Body = http.MaxBytesReader(w, r.Body, rt.f.cfg.MaxBody)
 	buf.Reset()
 	if _, err := buf.ReadFrom(r.Body); err != nil {
 		return fmt.Errorf("decoding request: %w", err)
 	}
-	if err := json.Unmarshal(buf.Bytes(), dst); err != nil {
+	if err := decode(buf.Bytes()); err != nil {
 		return fmt.Errorf("decoding request: %w", err)
 	}
 	return nil

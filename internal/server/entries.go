@@ -112,7 +112,7 @@ func (s *Server) storeReplicaEntries(w http.ResponseWriter, r *http.Request, out
 	var req api.CacheEntriesRequest
 	rs := scratchPool.Get().(*reqScratch)
 	defer scratchPool.Put(rs)
-	if err := s.readJSON(w, r, &rs.body, &req); err != nil {
+	if err := s.readJSON(w, r, &rs.body, func(b []byte) error { return api.DecodeCacheEntriesRequest(b, &req) }); err != nil {
 		return http.StatusBadRequest, err
 	}
 	for i := range req.Entries {

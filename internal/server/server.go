@@ -205,9 +205,10 @@ type Server struct {
 // reqScratch is the pooled per-request working set of the hot
 // endpoints: the decoded request (including the instance arena JSON is
 // decoded into), the canonicalization arena, and the read/write byte
-// buffers with a bound encoder. Steady-state request handling reuses
-// all of it; nothing handed to the solver or the cache may alias it
-// (solveOne clones the canonical instance on a cache miss).
+// buffers, with an encoder bound to the write buffer for batch
+// answers. Steady-state request handling reuses all of it; nothing
+// handed to the solver or the cache may alias it (solveOne clones the
+// canonical instance on a cache miss).
 type reqScratch struct {
 	cs   canon.Scratch
 	inst ise.Instance
@@ -225,23 +226,17 @@ type reqScratch struct {
 var scratchPool = sync.Pool{New: func() any {
 	rs := &reqScratch{}
 	rs.enc = json.NewEncoder(&rs.out)
-	rs.enc.SetIndent("", "  ")
 	return rs
 }}
 
-// resetSolve readies the pooled request for decoding. JSON decoding
-// into reused memory keeps whatever an absent field held before — both
-// on the request struct and element-wise inside the reused Jobs
-// backing array — so everything a request can set is cleared first,
-// over the slice's full capacity. The instance pointer is re-aimed at
-// the pooled arena ("instance": null overwrites it with nil); after
-// decoding, an all-zero instance therefore means the field was absent.
+// resetSolve readies the pooled request for decoding: the request and
+// instance are cleared and the instance pointer is re-aimed at the
+// pooled arena ("instance": null overwrites it with nil), whose Jobs
+// keeps its capacity — api.DecodeSolveRequest zeroes each reused job
+// before decoding into it. After decoding, an all-zero instance
+// therefore means the field was absent.
 func (rs *reqScratch) resetSolve() {
-	jobs := rs.inst.Jobs[:cap(rs.inst.Jobs)]
-	for i := range jobs {
-		jobs[i] = ise.Job{}
-	}
-	rs.inst = ise.Instance{Jobs: jobs[:0]}
+	rs.inst = ise.Instance{Jobs: rs.inst.Jobs[:0]}
 	rs.req = api.SolveRequest{Instance: &rs.inst}
 }
 
@@ -379,7 +374,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	rs.resetSolve()
 	rs.rec = Record{ID: id, Route: "solve", ArrivalNS: arrival.UnixNano()}
 	fleetForwarded(w, r, &rs.rec)
-	if err := s.readJSON(w, r, &rs.body, &rs.req); err != nil {
+	if err := s.readJSON(w, r, &rs.body, func(b []byte) error { return api.DecodeSolveRequest(b, &rs.req) }); err != nil {
 		s.finish(w, rs, s.errSolve, http.StatusBadRequest, err, arrival)
 		return
 	}
@@ -592,7 +587,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	rs.rec = Record{ID: id, Route: "batch", ArrivalNS: arrival.UnixNano()}
 	fleetForwarded(w, r, &rs.rec)
 	var req api.BatchRequest
-	if err := s.readJSON(w, r, &rs.body, &req); err != nil {
+	if err := s.readJSON(w, r, &rs.body, func(b []byte) error { return json.Unmarshal(b, &req) }); err != nil {
 		s.finish(w, rs, s.errBatch, http.StatusBadRequest, err, arrival)
 		return
 	}
@@ -714,15 +709,15 @@ func solveStatus(err error) int {
 }
 
 // readJSON slurps the (size-capped) body into the pooled buffer and
-// unmarshals from it, so steady-state decoding reuses one arena
+// decodes it from there, so steady-state decoding reuses one arena
 // instead of allocating decoder state per request.
-func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer, dst any) error {
+func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer, decode func([]byte) error) error {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
 	buf.Reset()
 	if _, err := buf.ReadFrom(r.Body); err != nil {
 		return fmt.Errorf("decoding request: %w", err)
 	}
-	if err := json.Unmarshal(buf.Bytes(), dst); err != nil {
+	if err := decode(buf.Bytes()); err != nil {
 		return fmt.Errorf("decoding request: %w", err)
 	}
 	return nil
@@ -745,12 +740,22 @@ func (s *Server) fail(w http.ResponseWriter, errs *obs.Counter, status int, err 
 	writeJSON(w, status, body)
 }
 
-// writeResp encodes through the scratch's buffer and its bound
-// encoder: no per-response encoder state, and the known length lets
-// net/http skip chunked framing.
+// writeResp encodes into the scratch's buffer — a solve answer through
+// the api codec, a batch through the bound encoder, both compact JSON
+// plus a newline — and the known length lets net/http skip chunked
+// framing.
 func (s *Server) writeResp(w http.ResponseWriter, status int, body any, rs *reqScratch) {
 	rs.out.Reset()
-	if err := rs.enc.Encode(body); err != nil {
+	var err error
+	if resp, ok := body.(*api.SolveResponse); ok {
+		var b []byte
+		if b, err = api.AppendSolveResponse(rs.out.AvailableBuffer(), resp); err == nil {
+			rs.out.Write(append(b, '\n'))
+		}
+	} else {
+		err = rs.enc.Encode(body)
+	}
+	if err != nil {
 		// Marshal failure of our own wire types is a programming error;
 		// surface it rather than sending a truncated body.
 		s.fail(w, s.errSolve, http.StatusInternalServerError, err, rs.rec.ID)

@@ -139,7 +139,7 @@ END {
 	printf "    \"ns_per_request\": %s,\n", jnum(ns["ServiceCacheHit"])
 	printf "    \"bytes_per_request\": %s,\n", jnum(bytes["ServiceCacheHit"])
 	printf "    \"allocs_per_request\": %s,\n", jnum(allocs["ServiceCacheHit"])
-	printf "    \"allocs_ceiling\": 40\n"
+	printf "    \"allocs_ceiling\": 30\n"
 	printf "  }\n"
 	printf "}\n"
 }' "$SRAW" >"$SOUT"

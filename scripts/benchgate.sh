@@ -29,7 +29,7 @@
 #        BENCHGATE_PCT (default 10),
 #        BENCHGATE_SERVICE_BENCHTIME (default 2000x),
 #        BENCHGATE_SOLVE_ALLOCS (default 120),
-#        BENCHGATE_CACHE_HIT_ALLOCS (default 40)
+#        BENCHGATE_CACHE_HIT_ALLOCS (default 30)
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -160,7 +160,7 @@ END {
 SERVICE_BENCH='BenchmarkServiceSolve|BenchmarkServiceCacheHit'
 SERVICE_BENCHTIME="${BENCHGATE_SERVICE_BENCHTIME:-2000x}"
 SOLVE_ALLOCS_MAX="${BENCHGATE_SOLVE_ALLOCS:-120}"
-HIT_ALLOCS_MAX="${BENCHGATE_CACHE_HIT_ALLOCS:-40}"
+HIT_ALLOCS_MAX="${BENCHGATE_CACHE_HIT_ALLOCS:-30}"
 
 echo "benchgate: service allocation ceilings (solve <= $SOLVE_ALLOCS_MAX, cache hit <= $HIT_ALLOCS_MAX allocs/op)"
 go test -run XXX -bench "$SERVICE_BENCH" -benchtime "$SERVICE_BENCHTIME" \

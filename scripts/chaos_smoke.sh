@@ -79,7 +79,7 @@ PIDS="$PIDS $KILLPID"
 BASE="http://$(wait_addr "$WORK/addr1")"
 
 curl -sf -d @"$WORK/req.json" "$BASE/v1/solve" >"$WORK/solve1.json"
-grep -q '"cached": false' "$WORK/solve1.json" || fail "first solve claims cached"
+grep -Eq '"cached": ?false' "$WORK/solve1.json" || fail "first solve claims cached"
 grep -q '"schedule"' "$WORK/solve1.json" || fail "first solve has no schedule"
 
 # Wait for a periodic save that contains the entry (the header alone
@@ -101,7 +101,7 @@ PIDS="$PIDS $!"
 BASE2="http://$(wait_addr "$WORK/addr2")"
 
 curl -sf -d @"$WORK/req.json" "$BASE2/v1/solve" >"$WORK/solve2.json"
-grep -q '"cached": true' "$WORK/solve2.json" ||
+grep -Eq '"cached": ?true' "$WORK/solve2.json" ||
 	fail "restarted daemon did not serve the prior hit from its snapshot"
 RESTORED="$(metric "$BASE2" cache_restore_entries_total)"
 [ "$RESTORED" -gt 0 ] || fail "cache_restore_entries_total = $RESTORED after restore"

@@ -120,7 +120,7 @@ grep -q '"ring_points": 384' "$WORK/health.json" || fail "healthz ring_points no
 printf '{"instance": %s}' "$(cat "$WORK/inst.json")" >"$WORK/req.json"
 
 curl -sf -D "$WORK/h1" -d @"$WORK/req.json" "$BASE/v1/solve" >"$WORK/solve1.json"
-grep -q '"cached": false' "$WORK/solve1.json" || fail "first solve claims cached"
+grep -Eq '"cached": ?false' "$WORK/solve1.json" || fail "first solve claims cached"
 grep -q '"schedule"' "$WORK/solve1.json" || fail "first solve has no schedule"
 OWNER="$(header "$WORK/h1" x-fleet-node)"
 [ -n "$OWNER" ] || fail "no X-Fleet-Node on the routed response"
@@ -128,7 +128,7 @@ ROUTE="$(header "$WORK/h1" x-fleet-route)"
 [ "$ROUTE" = "affinity" ] || fail "healthy-fleet route = '$ROUTE', want affinity"
 
 curl -sf -D "$WORK/h2" -d @"$WORK/req.json" "$BASE/v1/solve" >"$WORK/solve2.json"
-grep -q '"cached": true' "$WORK/solve2.json" || fail "re-solve missed the owner's cache"
+grep -Eq '"cached": ?true' "$WORK/solve2.json" || fail "re-solve missed the owner's cache"
 [ "$(header "$WORK/h2" x-fleet-node)" = "$OWNER" ] || fail "re-solve routed off the owner"
 
 # A uniformly shifted twin (same canonical key) must hit the same cache
@@ -147,7 +147,7 @@ awk '{
 }' "$WORK/inst.json" >"$WORK/shifted.json"
 printf '{"instance": %s}' "$(cat "$WORK/shifted.json")" >"$WORK/sreq.json"
 curl -sf -D "$WORK/h3" -d @"$WORK/sreq.json" "$BASE/v1/solve" >"$WORK/solve3.json"
-grep -q '"cached": true' "$WORK/solve3.json" || fail "shifted twin missed the cache"
+grep -Eq '"cached": ?true' "$WORK/solve3.json" || fail "shifted twin missed the cache"
 [ "$(header "$WORK/h3" x-fleet-node)" = "$OWNER" ] || fail "shifted twin routed off the owner"
 echo "fleet_smoke: cache affinity confirmed (owner $OWNER serves the equivalence class)"
 
@@ -191,7 +191,16 @@ for slot in 1 2 3 4; do
 done
 
 # Let the stream flow, then SIGKILL the owner of the probe instance.
-sleep 0.5
+# Wait until the streams have finished at least 4 requests between
+# them, so the kill lands while their load is in flight: all 40 can
+# finish in about half a second, so a fixed sleep may kill after the
+# load is over, when nothing can detour.
+i=0
+until [ "$(cat "$WORK"/stream*.codes 2>/dev/null | wc -l)" -ge 4 ]; do
+	i=$((i + 1))
+	[ "$i" -le 200 ] || fail "streamed solves never started"
+	sleep 0.05
+done
 case "$OWNER" in
 n1) eval "kill -9 \$BPID1" ;;
 n2) eval "kill -9 \$BPID2" ;;
@@ -226,7 +235,7 @@ grep -q '"healthy_nodes": 2' "$WORK/health2.json" || fail "degraded healthz: $(c
 # schedule without admitting a solve anywhere.
 curl -sf -D "$WORK/h4" -d @"$WORK/req.json" "$BASE/v1/solve" >"$WORK/solve4.json"
 grep -q '"schedule"' "$WORK/solve4.json" || fail "post-kill solve has no schedule"
-grep -q '"cached": true' "$WORK/solve4.json" ||
+grep -Eq '"cached": ?true' "$WORK/solve4.json" ||
 	fail "pre-kill key re-solved after the owner died: the replica write never landed"
 DETOUR="$(header "$WORK/h4" x-fleet-node)"
 [ -n "$DETOUR" ] && [ "$DETOUR" != "$OWNER" ] || fail "post-kill solve served by '$DETOUR'"
@@ -237,7 +246,7 @@ echo "fleet_smoke: pre-kill key served from replica cache ($DETOUR, no re-solve)
 # Survivors keep their own keys: the survivor-owned instance still
 # routes to the same node it did before the kill.
 curl -sf -D "$WORK/h5" -d @"$WORK/survivor-req.json" "$BASE/v1/solve" >"$WORK/solve5.json"
-grep -q '"cached": true' "$WORK/solve5.json" || fail "survivor-owned re-solve missed its cache"
+grep -Eq '"cached": ?true' "$WORK/solve5.json" || fail "survivor-owned re-solve missed its cache"
 [ "$(header "$WORK/h5" x-fleet-node)" = "$SURV_NODE" ] ||
 	fail "survivor key moved: $(header "$WORK/h5" x-fleet-node) != $SURV_NODE"
 echo "fleet_smoke: survivors kept affinity ($SURV_NODE still owns its key)"
@@ -288,7 +297,7 @@ awk '$1 == "fleet_warm_transfer_entries_total" && $2 >= 1 { ok = 1 } END { exit 
 # restarted with an empty cache of its own, answers from the entries
 # the warm transfer restored.
 curl -sf -D "$WORK/h6" -d @"$WORK/req.json" "$BASE/v1/solve" >"$WORK/solve6.json"
-grep -q '"cached": true' "$WORK/solve6.json" ||
+grep -Eq '"cached": ?true' "$WORK/solve6.json" ||
 	fail "post-readmit solve missed: warm transfer did not restore the key"
 [ "$(header "$WORK/h6" x-fleet-node)" = "$OWNER" ] ||
 	fail "post-readmit solve served by '$(header "$WORK/h6" x-fleet-node)', want $OWNER"

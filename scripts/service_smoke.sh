@@ -88,12 +88,12 @@ grep -q '"status": "ok"' "$WORK/health.json" || fail "healthz not ok: $(cat "$WO
 
 # first solve: fresh
 curl -sf -d @"$WORK/req.json" "$BASE/v1/solve" >"$WORK/solve1.json"
-grep -q '"cached": false' "$WORK/solve1.json" || fail "first solve claims cached"
+grep -Eq '"cached": ?false' "$WORK/solve1.json" || fail "first solve claims cached"
 grep -q '"schedule"' "$WORK/solve1.json" || fail "first solve has no schedule"
 
 # identical re-solve: from the cache
 curl -sf -d @"$WORK/req.json" "$BASE/v1/solve" >"$WORK/solve2.json"
-grep -q '"cached": true' "$WORK/solve2.json" || fail "re-solve missed the cache"
+grep -Eq '"cached": ?true' "$WORK/solve2.json" || fail "re-solve missed the cache"
 
 # the cache hit is visible on /metrics
 curl -sf "$BASE/metrics" >"$WORK/metrics.txt"
@@ -109,7 +109,7 @@ RID="smoke-req-1"
 curl -sf -H "X-Request-Id: $RID" -D "$WORK/solve3.head" \
 	-d @"$WORK/req.json" "$BASE/v1/solve" >"$WORK/solve3.json"
 grep -qi "^x-request-id: $RID" "$WORK/solve3.head" || fail "X-Request-ID not echoed in header"
-grep -q "\"request_id\": \"$RID\"" "$WORK/solve3.json" || fail "request_id missing from response body"
+grep -Eq "\"request_id\": ?\"$RID\"" "$WORK/solve3.json" || fail "request_id missing from response body"
 
 curl -sf "$BASE/debug/requests/$RID" >"$WORK/flight.json"
 grep -q "\"id\": \"$RID\"" "$WORK/flight.json" || fail "request not in flight recorder: $(cat "$WORK/flight.json")"
