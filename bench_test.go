@@ -308,14 +308,3 @@ func BenchmarkTISELPLargeDense(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkTISELPLargeRevised(b *testing.B) {
-	rng := rand.New(rand.NewSource(77))
-	inst, _ := workload.Long(rng, 24, 2, 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tise.SolveLP(inst, 6, tise.Revised); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

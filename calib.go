@@ -96,11 +96,6 @@ const (
 	// MMLPRound is a time-indexed LP with randomized rounding, in the
 	// spirit of the Raghavan–Thompson approximation the paper cites.
 	MMLPRound
-	// MMLPSearch binary-searches the smallest machine count whose
-	// time-indexed feasibility LP admits a solution, warm-starting each
-	// probe from the previous basis, then rounds like MMLPRound with a
-	// greedy fallback.
-	MMLPSearch
 )
 
 func (b MMBox) String() string {
@@ -111,8 +106,6 @@ func (b MMBox) String() string {
 		return "exact"
 	case MMLPRound:
 		return "lp-round"
-	case MMLPSearch:
-		return "lp-search"
 	default:
 		return fmt.Sprintf("MMBox(%d)", int(b))
 	}
@@ -124,8 +117,6 @@ func (b MMBox) solver() mm.Solver {
 		return mm.Exact{}
 	case MMLPRound:
 		return mm.LPRound{}
-	case MMLPSearch:
-		return mm.LPSearch{}
 	default:
 		return mm.Greedy{}
 	}

@@ -3,11 +3,10 @@ package calib_test
 // Cancellation conformance: every exported solve entry point must
 // return within 100ms of its context being canceled, even deep inside
 // a pathological instance's hot loop (LP build and pivots,
-// branch-and-bound nodes, MM probes). The per-engine check cadences
-// (every 64 rows of the dense tableau's build and every pivot for the
-// dense/rational engines, every 32 pivots for the revised engine,
-// every 512 nodes for the searches) are sized so this bound holds
-// comfortably under -race.
+// branch-and-bound nodes). The per-engine check cadences (every 64
+// rows of the dense tableau's build and every pivot for the
+// dense/rational engines, every 512 nodes for the searches) are sized
+// so this bound holds comfortably under -race.
 
 import (
 	"context"
@@ -86,11 +85,6 @@ func TestCancelConformance(t *testing.T) {
 			_, err := tise.Solve(hardLong(t), tise.Options{Control: ctl})
 			return err
 		}},
-		{"tise.Solve/revised", func(ctx context.Context) error {
-			ctl := robust.NewControl(ctx, 0, obs.NewRegistry())
-			_, err := tise.Solve(hardLong(t), tise.Options{Engine: tise.Revised, Control: ctl})
-			return err
-		}},
 		{"exact.Solve", func(ctx context.Context) error {
 			ctl := robust.NewControl(ctx, 0, obs.NewRegistry())
 			_, err := exact.Solve(hardMixed(t), exact.Options{
@@ -107,7 +101,7 @@ func TestCancelConformance(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		// Deliberately not parallel: the latency bound is measured per
-		// solver, and seven concurrent hot loops contending for cores
+		// solver, and five concurrent hot loops contending for cores
 		// (especially under -race) would measure the scheduler instead.
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	isesolve [-box greedy|exact|lp-round|lp-search]
+//	isesolve [-box greedy|exact|lp-round]
 //	         [-par N] [-trim] [-opt | -lazy | -robust] [-compact]
 //	         [-v] [-timeout D] [-budget N] [-trace] [-trace-json FILE]
 //	         [-metrics] [-metrics-out FILE] [-pprof addr] [instance.json]
@@ -40,7 +40,7 @@ func main() {
 
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("isesolve", flag.ContinueOnError)
-	box := fs.String("box", "greedy", "MM black box for short-window jobs: greedy, exact, lp-round, lp-search")
+	box := fs.String("box", "greedy", "MM black box for short-window jobs: greedy, exact, lp-round")
 	par := fs.Int("par", 0, "solve independent time components with up to N concurrent workers")
 	trim := fs.Bool("trim", false, "drop idle short-window calibrations (beyond the paper)")
 	opt := fs.Bool("opt", false, "solve exactly by branch and bound (small n only)")
@@ -103,8 +103,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 			opts.MMBox = calib.MMExact
 		case "lp-round":
 			opts.MMBox = calib.MMLPRound
-		case "lp-search":
-			opts.MMBox = calib.MMLPSearch
 		default:
 			return fmt.Errorf("unknown MM box %q", *box)
 		}

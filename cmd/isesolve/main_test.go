@@ -58,9 +58,11 @@ func TestRunBoxes(t *testing.T) {
 	for _, box := range []string{"greedy", "exact", "lp-round"} {
 		solveWith(t, "-box", box)
 	}
-	var out, errBuf bytes.Buffer
-	if err := run([]string{"-box", "bogus"}, strings.NewReader(fixture), &out, &errBuf); err == nil {
-		t.Error("bogus box accepted")
+	for _, box := range []string{"bogus", "lp-search"} {
+		var out, errBuf bytes.Buffer
+		if err := run([]string{"-box", box}, strings.NewReader(fixture), &out, &errBuf); err == nil {
+			t.Errorf("box %q accepted", box)
+		}
 	}
 }
 

@@ -32,8 +32,8 @@ func TestRunTraceAndMetricsFlags(t *testing.T) {
 		}
 	}
 	for _, key := range []string{
-		"lp_pivots_total", "lp_warm_start_hits_total",
-		"lp_cold_fallback_total", "decomp_components",
+		"lp_pivots_total", "tise_resolves_total",
+		"decomp_tasks_total", "decomp_components",
 	} {
 		if !strings.Contains(msg, key) {
 			t.Errorf("-metrics output missing %q:\n%s", key, msg)

@@ -31,19 +31,3 @@ func TestParallelismOption(t *testing.T) {
 		}
 	}
 }
-
-// TestMMLPSearchBox exercises the new MM black box through the facade.
-func TestMMLPSearchBox(t *testing.T) {
-	rng := rand.New(rand.NewSource(64))
-	inst, _ := workload.Mixed(rng, 12, 2, 8, 0.3)
-	sol, err := calib.Solve(inst, &calib.Options{MMBox: calib.MMLPSearch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := calib.Validate(inst, sol.Schedule); err != nil {
-		t.Fatalf("infeasible: %v", err)
-	}
-	if calib.MMLPSearch.String() != "lp-search" {
-		t.Fatalf("MMLPSearch.String() = %q", calib.MMLPSearch.String())
-	}
-}

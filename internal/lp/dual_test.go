@@ -125,34 +125,3 @@ func TestDualsWithEqAndFlippedRows(t *testing.T) {
 		t.Errorf("strong duality: b'y = %v, want 8 (duals %v)", dualObj, sol.Dual)
 	}
 }
-
-// TestRevisedDualsMatchDense checks the two float engines produce the
-// same duals (strong duality asserted for both).
-func TestRevisedDualsMatchDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(515))
-	for trial := 0; trial < 30; trial++ {
-		p, _ := randFeasibleLP(rng.Int63())
-		d, err := Solve(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := SolveRevised(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.Status != Optimal || r.Status != Optimal {
-			continue
-		}
-		// Both must satisfy strong duality (dual vectors themselves
-		// may differ at degenerate optima).
-		for name, sol := range map[string]*Solution{"dense": d, "revised": r} {
-			dualObj := 0.0
-			for i, row := range p.rows {
-				dualObj += row.rhs * sol.Dual[i]
-			}
-			if math.Abs(dualObj-sol.Objective) > 1e-6*(1+math.Abs(sol.Objective)) {
-				t.Fatalf("trial %d %s: b'y=%v != obj=%v", trial, name, dualObj, sol.Objective)
-			}
-		}
-	}
-}

@@ -6,7 +6,7 @@ import (
 	"calib/internal/lp"
 )
 
-// Example solves a tiny diet-style LP with all three engines.
+// Example solves a tiny diet-style LP with both engines.
 func Example() {
 	p := lp.NewProblem()
 	x := p.AddVar("x", 2) // cost per unit of x
@@ -15,15 +15,12 @@ func Example() {
 	p.AddConstraint(lp.LE, 8, lp.Term{Var: x, Coeff: 1})                             // supply
 
 	dense, _ := lp.Solve(p)
-	revised, _ := lp.SolveRevised(p)
 	rational, _ := lp.SolveRational(p)
 	fmt.Printf("dense:    %.1f\n", dense.Objective)
-	fmt.Printf("revised:  %.1f\n", revised.Objective)
 	fmt.Printf("rational: %.1f\n", rational.ObjectiveFloat())
-	// All three agree: x=8, y=1 -> 2*8 + 3*1 = 19.
+	// Both agree: x=8, y=1 -> 2*8 + 3*1 = 19.
 	// Output:
 	// dense:    19.0
-	// revised:  19.0
 	// rational: 19.0
 }
 

@@ -22,20 +22,12 @@ func TestBealeCycling(t *testing.T) {
 	p.AddConstraint(LE, 0, Term{x4, 0.25}, Term{x5, -60}, Term{x6, -1.0 / 25}, Term{x7, 9})
 	p.AddConstraint(LE, 0, Term{x4, 0.5}, Term{x5, -90}, Term{x6, -1.0 / 50}, Term{x7, 3})
 	p.AddConstraint(LE, 1, Term{x6, 1})
-	for name, solve := range map[string]func(*Problem) (*Solution, error){
-		"dense":   Solve,
-		"revised": SolveRevised,
-	} {
-		sol, err := solve(p)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if sol.Status != Optimal {
-			t.Fatalf("%s: status %v, want optimal", name, sol.Status)
-		}
-		if math.Abs(sol.Objective-(-0.05)) > 1e-9 {
-			t.Errorf("%s: objective = %v, want -0.05", name, sol.Objective)
-		}
+	sol := solveBoth(t, p)
+	if sol.Status != Optimal {
+		t.Fatalf("status %v, want optimal", sol.Status)
+	}
+	if math.Abs(sol.Objective-(-0.05)) > 1e-9 {
+		t.Errorf("objective = %v, want -0.05", sol.Objective)
 	}
 }
 

@@ -67,25 +67,16 @@ func Presolve(p *Problem) *Presolved {
 			continue
 		}
 		if !used[v] {
-			// Unused variable: cost < 0 means pushing it to its upper
-			// bound is optimal — or unbounded when there is none.
+			// Unused variable: cost < 0 makes the LP unbounded.
 			if cur.obj[v] < 0 {
-				if math.IsInf(cur.upper[v], 1) {
-					ps.Status = Unbounded
-					return ps
-				}
-				ps.fixed[v] = cur.upper[v]
-				newIdx[v] = -1
-				continue
+				ps.Status = Unbounded
+				return ps
 			}
 			ps.fixed[v] = 0
 			newIdx[v] = -1
 			continue
 		}
 		newIdx[v] = reduced.AddVar(cur.names[v], cur.obj[v])
-		if !math.IsInf(cur.upper[v], 1) {
-			reduced.SetUpper(newIdx[v], cur.upper[v])
-		}
 		ps.keep = append(ps.keep, v)
 	}
 	for _, r := range cur.rows {
@@ -149,9 +140,6 @@ func (ps *Presolved) pass(cur *Problem) (changed bool, status Status) {
 				return false, st
 			}
 			if fixVal != nil {
-				if *fixVal > cur.upper[terms[0].Var]+epsPivot {
-					return false, Infeasible
-				}
 				ps.fixed[terms[0].Var] = *fixVal
 				changed = true
 				continue

@@ -16,7 +16,6 @@ package lp
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -67,18 +66,13 @@ type row struct {
 	rhs   float64
 }
 
-// Problem is a minimization LP over nonnegative variables, each with
-// an optional finite upper bound. Build it with AddVar/AddConstraint
-// (plus SetUpper for bounded variables) and pass it to Solve,
-// SolveRevised, or SolveRational.
+// Problem is a minimization LP over nonnegative variables. Build it
+// with AddVar/AddConstraint and pass it to Solve or SolveRational; an
+// upper bound x_v <= u is one more LE row.
 type Problem struct {
 	obj   []float64
 	names []string
 	rows  []row
-	// upper[v] is the upper bound of variable v (+Inf when absent).
-	// The revised engine handles finite bounds natively in its ratio
-	// test; the dense and rational engines materialize them as rows.
-	upper []float64
 }
 
 // NewProblem returns an empty problem.
@@ -89,55 +83,7 @@ func NewProblem() *Problem { return &Problem{} }
 func (p *Problem) AddVar(name string, objCoeff float64) int {
 	p.obj = append(p.obj, objCoeff)
 	p.names = append(p.names, name)
-	p.upper = append(p.upper, math.Inf(1))
 	return len(p.obj) - 1
-}
-
-// SetUpper sets the upper bound of variable v (0 <= x_v <= u). A
-// negative or NaN bound panics; +Inf removes the bound.
-func (p *Problem) SetUpper(v int, u float64) {
-	if v < 0 || v >= len(p.obj) {
-		panic(fmt.Sprintf("lp: SetUpper on unknown variable %d", v))
-	}
-	if u < 0 || math.IsNaN(u) {
-		panic(fmt.Sprintf("lp: SetUpper(%d, %v): bound must be >= 0", v, u))
-	}
-	p.upper[v] = u
-}
-
-// Upper returns the upper bound of variable v (+Inf when unbounded).
-func (p *Problem) Upper(v int) float64 { return p.upper[v] }
-
-// hasFiniteBounds reports whether any variable has a finite upper
-// bound.
-func (p *Problem) hasFiniteBounds() bool {
-	for _, u := range p.upper {
-		if !math.IsInf(u, 1) {
-			return true
-		}
-	}
-	return false
-}
-
-// withBoundRows returns p unchanged when no variable has a finite
-// upper bound; otherwise it returns a copy in which every finite bound
-// x_v <= u is materialized as an explicit LE row appended after the
-// original rows. The int result is the original row count, so callers
-// can trim bound-row duals.
-func (p *Problem) withBoundRows() (*Problem, int) {
-	m := len(p.rows)
-	if !p.hasFiniteBounds() {
-		return p, m
-	}
-	q := p.Copy()
-	for v, u := range p.upper {
-		if math.IsInf(u, 1) {
-			continue
-		}
-		q.upper[v] = math.Inf(1)
-		q.AddConstraint(LE, u, Term{Var: v, Coeff: 1})
-	}
-	return q, m
 }
 
 // NumVars returns the number of variables.
@@ -160,18 +106,6 @@ func (p *Problem) AddConstraint(rel Rel, rhs float64, terms ...Term) {
 	p.rows = append(p.rows, row{terms: own, rel: rel, rhs: rhs})
 }
 
-// SetRHS replaces the right-hand side of constraint row i. The row's
-// terms and relation are untouched, so a Basis from a previous solve
-// stays structurally valid — this is the cheap way to re-solve a
-// family of problems differing only in rhs (e.g. machine-count
-// probes).
-func (p *Problem) SetRHS(i int, rhs float64) {
-	if i < 0 || i >= len(p.rows) {
-		panic(fmt.Sprintf("lp: SetRHS on unknown row %d", i))
-	}
-	p.rows[i].rhs = rhs
-}
-
 // Name returns the name of variable v.
 func (p *Problem) Name(v int) string { return p.names[v] }
 
@@ -186,7 +120,6 @@ func (p *Problem) Copy() *Problem {
 		obj:   append([]float64(nil), p.obj...),
 		names: append([]string(nil), p.names...),
 		rows:  make([]row, len(p.rows)),
-		upper: append([]float64(nil), p.upper...),
 	}
 	for i, r := range p.rows {
 		out.rows[i] = row{terms: append([]Term(nil), r.terms...), rel: r.rel, rhs: r.rhs}
@@ -213,11 +146,6 @@ func (p *Problem) String() string {
 			fmt.Fprintf(&b, "%+g*%s", t.Coeff, p.names[t.Var])
 		}
 		fmt.Fprintf(&b, " %s %g\n", r.rel, r.rhs)
-	}
-	for v, u := range p.upper {
-		if !math.IsInf(u, 1) {
-			fmt.Fprintf(&b, "  %s <= %g\n", p.names[v], u)
-		}
 	}
 	return b.String()
 }
@@ -271,8 +199,4 @@ type Solution struct {
 	// the dual is <= 0 ... the test suite asserts weak duality and
 	// complementary slackness rather than a sign convention.
 	Dual []float64
-	// Basis is the final simplex basis, populated by the revised engine
-	// only. Pass it back via RevisedOptions.Warm to warm-start a
-	// related solve (same variables and rows, changed rhs).
-	Basis *Basis
 }

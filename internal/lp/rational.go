@@ -36,8 +36,7 @@ type ratTableau struct {
 
 // SolveRational runs the two-phase simplex on p with exact big.Rat
 // arithmetic. Problem coefficients are converted from float64 exactly
-// (every float64 is a rational). Finite variable upper bounds are
-// materialized as explicit rows. Intended for small problems: used to
+// (every float64 is a rational). Intended for small problems: used to
 // cross-validate the float engine and for exactness-critical tests.
 func SolveRational(p *Problem) (*RatSolution, error) {
 	return SolveRationalChecked(p, nil)
@@ -48,7 +47,6 @@ func SolveRational(p *Problem) (*RatSolution, error) {
 // magnitude more expensive than the check). On abort the RatSolution
 // carries Status Aborted and the check's error is returned.
 func SolveRationalChecked(p *Problem, check CheckFunc) (*RatSolution, error) {
-	p, _ = p.withBoundRows()
 	t, hasArt := buildRat(p)
 	sol := &RatSolution{}
 	if hasArt {

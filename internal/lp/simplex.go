@@ -63,9 +63,7 @@ func (t *tableau) mark(i, j int) {
 	t.colNZ[j*t.cw+(i>>6)] |= 1 << (i & 63)
 }
 
-// Solve runs the two-phase dense simplex on p. Finite variable upper
-// bounds are materialized as explicit rows (the dense tableau has no
-// native bound handling); their duals are trimmed from Solution.Dual.
+// Solve runs the two-phase dense simplex on p.
 func Solve(p *Problem) (*Solution, error) {
 	return SolveChecked(p, nil)
 }
@@ -77,7 +75,6 @@ func Solve(p *Problem) (*Solution, error) {
 // the Solution carries Status Aborted and the check's error is
 // returned.
 func SolveChecked(p *Problem, check CheckFunc) (*Solution, error) {
-	p, mOrig := p.withBoundRows()
 	t, hasArt, err := build(p, check)
 	if err != nil {
 		return &Solution{Status: Aborted}, err
@@ -139,7 +136,6 @@ func SolveChecked(p *Problem, check CheckFunc) (*Solution, error) {
 	for i := 0; i < t.m; i++ {
 		sol.Dual[i] = t.dualMult[i] * crow[t.dualCol[i]]
 	}
-	sol.Dual = sol.Dual[:mOrig]
 	return sol, nil
 }
 

@@ -8,18 +8,14 @@ import (
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-// solveBoth runs all three engines (dense float, revised float, exact
-// rational) and checks they agree on status and objective, returning
-// the dense float solution.
+// solveBoth runs both engines (dense float and exact rational) and
+// checks they agree on status and objective, returning the dense float
+// solution.
 func solveBoth(t *testing.T, p *Problem) *Solution {
 	t.Helper()
 	fs, err := Solve(p)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
-	}
-	rv, err := SolveRevised(p)
-	if err != nil {
-		t.Fatalf("SolveRevised: %v", err)
 	}
 	rs, err := SolveRational(p)
 	if err != nil {
@@ -28,16 +24,10 @@ func solveBoth(t *testing.T, p *Problem) *Solution {
 	if fs.Status != rs.Status {
 		t.Fatalf("status mismatch: dense %v, rational %v", fs.Status, rs.Status)
 	}
-	if rv.Status != rs.Status {
-		t.Fatalf("status mismatch: revised %v, rational %v", rv.Status, rs.Status)
-	}
 	if fs.Status == Optimal {
 		ro := rs.ObjectiveFloat()
 		if !approx(fs.Objective, ro, 1e-6*(1+math.Abs(ro))) {
 			t.Fatalf("objective mismatch: dense %v, rational %v", fs.Objective, ro)
-		}
-		if !approx(rv.Objective, ro, 1e-6*(1+math.Abs(ro))) {
-			t.Fatalf("objective mismatch: revised %v, rational %v", rv.Objective, ro)
 		}
 	}
 	return fs

@@ -6,16 +6,14 @@
 //
 // Theorem 1 of the paper is generic over any MM approximation
 // algorithm; this package mirrors that with the Solver interface and
-// four implementations, the boxes calib.MMBox selects:
+// three implementations, the boxes calib.MMBox selects:
 //
 //   - Greedy: earliest-deadline list scheduling with increasing machine
 //     count — fast heuristic, the default black box;
 //   - Exact: complete branch-and-bound over active schedules — the
 //     alpha = 1 box for small instances;
 //   - LPRound: time-indexed LP relaxation plus randomized rounding, in
-//     the spirit of Raghavan–Thompson as cited by the paper;
-//   - LPSearch: binary search on the machine count over LPRound's
-//     relaxation, warm-started across probes.
+//     the spirit of Raghavan–Thompson as cited by the paper.
 package mm
 
 import (

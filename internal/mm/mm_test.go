@@ -143,7 +143,7 @@ func TestLPRoundLowerBoundConsistent(t *testing.T) {
 
 func TestEmptyInstances(t *testing.T) {
 	in := ise.NewInstance(10, 1)
-	for _, sv := range []Solver{Greedy{}, Exact{}, LPRound{}, LPSearch{}} {
+	for _, sv := range []Solver{Greedy{}, Exact{}, LPRound{}} {
 		s, err := sv.Solve(in)
 		if err != nil {
 			t.Errorf("%s on empty: %v", sv.Name(), err)
@@ -157,7 +157,7 @@ func TestEmptyInstances(t *testing.T) {
 
 func TestSolverNames(t *testing.T) {
 	names := map[string]bool{}
-	for _, sv := range []Solver{Greedy{}, Exact{}, LPRound{}, LPSearch{}} {
+	for _, sv := range []Solver{Greedy{}, Exact{}, LPRound{}} {
 		n := sv.Name()
 		if n == "" || names[n] {
 			t.Errorf("bad or duplicate solver name %q", n)

@@ -14,10 +14,10 @@ func BenchmarkObsOverhead(b *testing.B) {
 		sp := tr.Root().Start("solve")
 		sp.SetInt("jobs", int64(i))
 		lp := sp.Start("lp")
-		lp.SetStr("engine", "revised")
+		lp.SetStr("engine", "float64")
 		reg.Counter(MLPPivots).Add(17)
-		reg.Counter(MLPBoundFlips).Inc()
-		reg.CounterWith(MLPColdFallback, "reason", ReasonDivergence).Inc()
+		reg.Counter(MTISEResolves).Inc()
+		reg.CounterWith(MFaultInjected, "point", "solve_panic").Inc()
 		g := reg.Gauge(MDecompPoolBusy)
 		g.Add(1)
 		g.Add(-1)
@@ -38,7 +38,7 @@ func BenchmarkObsEnabled(b *testing.B) {
 	tr := NewTrace("bench")
 	reg := NewRegistry()
 	pivots := reg.Counter(MLPPivots)
-	flips := reg.Counter(MLPBoundFlips)
+	resolves := reg.Counter(MTISEResolves)
 	busy := reg.Gauge(MDecompPoolBusy)
 	hist := reg.Histogram(MDecompCompSecs, nil)
 	b.ReportAllocs()
@@ -47,7 +47,7 @@ func BenchmarkObsEnabled(b *testing.B) {
 		sp := tr.Root().Start("solve")
 		sp.SetInt("jobs", int64(i))
 		pivots.Add(17)
-		flips.Inc()
+		resolves.Inc()
 		busy.Add(1)
 		busy.Add(-1)
 		hist.Observe(0.001)

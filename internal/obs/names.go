@@ -5,23 +5,8 @@ package obs
 // sites cannot drift apart. Units follow Prometheus conventions:
 // *_total counters are event counts, *_seconds are durations.
 const (
-	// internal/lp — revised simplex engine.
-	MLPPivots       = "lp_pivots_total"                 // simplex pivots across both phases, all engines
-	MLPBoundFlips   = "lp_bound_flips_total"            // bound-flip steps (no basis change)
-	MLPWarmHits     = "lp_warm_start_hits_total"        // warm bases accepted end-to-end
-	MLPWarmMisses   = "lp_warm_start_misses_total"      // warm bases abandoned (see lp_cold_fallback_total reasons)
-	MLPColdFallback = "lp_cold_fallback_total"          // cold solves forced by a failed warm start; labeled reason=...
-	MLPColdSolves   = "lp_cold_solves_total"            // from-scratch two-phase solves (includes fallbacks)
-	MLPBinvHits     = "lp_binv_reuse_hits_total"        // carried basis factorizations that verified
-	MLPBinvMisses   = "lp_binv_reuse_misses_total"      // carried basis factorizations that failed and refactorized
-	MLPDualRepair   = "lp_dual_repair_iterations_total" // dual-simplex pivots spent repairing warm bases
-
-	// internal/lp — sparse LU basis factorization (default representation).
-	MLPLUFactorize     = "lp_lu_factorize_total"      // full Markowitz factorizations (installs + refactorizations)
-	MLPLURefactor      = "lp_lu_refactor_total"       // mid-solve refactorizations; labeled reason=eta_limit|fill_in|instability
-	MLPLUEtaLenMax     = "lp_lu_eta_len_max"          // gauge: longest eta file reached before a refactorization
-	MLPLUFillRatio     = "lp_lu_fill_ratio"           // gauge: nnz(L+U) / nnz(B) of the last factorization
-	MLPLUDenseFallback = "lp_lu_dense_fallback_total" // LU solves that hit IterLimit and re-ran on the dense reference basis
+	// internal/lp — simplex engines.
+	MLPPivots = "lp_pivots_total" // simplex pivots across both phases, all engines
 
 	// internal/tise — long-window LP relaxation.
 	MTISEResolves = "tise_resolves_total" // long-window LP solves
@@ -80,12 +65,10 @@ const (
 	MServiceSeconds     = "service_request_seconds"   // histogram: end-to-end solve/batch latency
 	MBatchDedup         = "batch_dedup_replays_total" // batch rows replayed from a canonical twin's solve
 
-	// internal/mm — machine-minimization LP boxes.
-	MMMLPProbes     = "mm_lp_probes_total"           // feasibility-LP probes (LPSearch binary search)
-	MMMLPInfeasible = "mm_lp_probe_infeasible_total" // probes that came back infeasible
-	MMMLPSolves     = "mm_lp_solves_total"           // LP relaxation solves (LPRound)
-	MMMLPSkipped    = "mm_lp_skipped_total"          // instances over MaxVars that fell back to Greedy
-	MMMTrials       = "mm_rounding_trials_total"     // randomized rounding samples drawn
+	// internal/mm — machine-minimization LP box.
+	MMMLPSolves  = "mm_lp_solves_total"       // LP relaxation solves (LPRound)
+	MMMLPSkipped = "mm_lp_skipped_total"      // instances over MaxVars that fell back to Greedy
+	MMMTrials    = "mm_rounding_trials_total" // randomized rounding samples drawn
 
 	// internal/server — request flight recorder and trace-log export.
 	MFlightRecords     = "flight_records_total"    // decision records captured by the flight recorder
@@ -150,17 +133,6 @@ const (
 	MSLOBreaches  = "slo_breach_total"          // requests over threshold or failed (budget-burning events)
 )
 
-// Cold-fallback reasons (the reason label of lp_cold_fallback_total).
-const (
-	ReasonBasisShape      = "basis_shape"         // fingerprint mismatch: different vars or rows
-	ReasonBasisStructural = "structural_mismatch" // basis did not map onto the problem (column collision, bad bound)
-	ReasonBasisRefactor   = "numerical_refactor"  // basis mapped but the factorization was (numerically) singular
-	ReasonDivergence      = "divergence"          // dual repair diverged (stall, cycle, or lost dual feasibility)
-	ReasonPrimalStall     = "primal_stall"        // phase 2 after repair did not reach optimality
-	ReasonArtificial      = "artificial_residual" // an artificial stayed basic above tolerance after the rhs change
-	ReasonInfeasReproof   = "infeasible_reproof"  // dual repair claimed infeasible; re-proven by a cold phase 1
-)
-
 // Declare pre-registers the headline series at zero so metric dumps
 // of an instrumented run always carry the full catalogue, whether or
 // not a given path fired. Safe on nil registries.
@@ -169,22 +141,14 @@ func Declare(r *Registry) {
 		return
 	}
 	for _, n := range []string{
-		MLPPivots, MLPBoundFlips, MLPWarmHits, MLPWarmMisses,
-		MLPColdFallback, MLPColdSolves, MLPBinvHits, MLPBinvMisses,
-		MLPDualRepair, MLPLUFactorize, MLPLUDenseFallback,
-		MTISEResolves,
+		MLPPivots, MTISEResolves,
 		MDecompTasks, MExactNodes,
 		MRobustFallback, MRobustRungAnswers, MRobustDeadlineHits,
 		MRobustBudgetHits, MRobustPanics,
-		MMMLPProbes, MMMLPInfeasible, MMMLPSolves, MMMLPSkipped, MMMTrials,
+		MMMLPSolves, MMMLPSkipped, MMMTrials,
 	} {
 		r.Counter(n)
 	}
-	for _, reason := range []string{"eta_limit", "fill_in", "instability"} {
-		r.CounterWith(MLPLURefactor, "reason", reason)
-	}
-	r.Gauge(MLPLUEtaLenMax)
-	r.Gauge(MLPLUFillRatio)
 	r.Gauge(MDecompComponents)
 	r.Gauge(MDecompPoolBusy)
 	r.Gauge(MDecompPoolMax)
@@ -283,21 +247,7 @@ func DeclareSim(r *Registry) {
 // line. Names missing from the map export without a HELP line, so an
 // uncatalogued ad-hoc metric still renders validly.
 var helpText = map[string]string{
-	MLPPivots:       "Simplex pivots across both phases, all engines.",
-	MLPBoundFlips:   "Bound-flip simplex steps that changed no basis column.",
-	MLPWarmHits:     "Warm-started bases accepted end-to-end.",
-	MLPWarmMisses:   "Warm-started bases abandoned for a cold solve.",
-	MLPColdFallback: "Cold solves forced by a failed warm start, by reason.",
-	MLPColdSolves:   "From-scratch two-phase LP solves, including fallbacks.",
-	MLPBinvHits:     "Carried basis factorizations that verified.",
-	MLPBinvMisses:   "Carried basis factorizations that refactorized instead.",
-	MLPDualRepair:   "Dual-simplex pivots spent repairing warm bases.",
-
-	MLPLUFactorize:     "Full Markowitz LU factorizations of the simplex basis.",
-	MLPLURefactor:      "Mid-solve LU refactorizations, by trigger reason.",
-	MLPLUEtaLenMax:     "Longest Forrest-Tomlin eta file reached before refactorization.",
-	MLPLUFillRatio:     "nnz(L+U) over nnz(B) of the last LU factorization.",
-	MLPLUDenseFallback: "LU solves that re-ran on the dense reference basis.",
+	MLPPivots: "Simplex pivots across both phases, all engines.",
 
 	MTISEResolves: "Long-window LP solves.",
 
@@ -343,11 +293,9 @@ var helpText = map[string]string{
 	MServiceSeconds:     "End-to-end request latency in seconds.",
 	MBatchDedup:         "Batch rows replayed from a canonical twin's solve.",
 
-	MMMLPProbes:     "Machine-minimization feasibility-LP probes.",
-	MMMLPInfeasible: "Feasibility-LP probes that came back infeasible.",
-	MMMLPSolves:     "Machine-minimization LP relaxation solves.",
-	MMMLPSkipped:    "Instances over MaxVars that fell back to Greedy.",
-	MMMTrials:       "Randomized rounding samples drawn.",
+	MMMLPSolves:  "Machine-minimization LP relaxation solves.",
+	MMMLPSkipped: "Instances over MaxVars that fell back to Greedy.",
+	MMMTrials:    "Randomized rounding samples drawn.",
 
 	MFlightRecords:     "Decision records captured by the request flight recorder.",
 	MTraceLogRecords:   "Records appended to the trace-log JSONL sink.",

@@ -15,7 +15,7 @@ func TestSpanTree(t *testing.T) {
 	lp := tr.Root().Start("lp")
 	lp.SetInt("points", 40)
 	lp.SetFloat("objective", 3.5)
-	lp.SetStr("engine", "revised")
+	lp.SetStr("engine", "float64")
 	lp.End()
 	round := tr.Root().Start("rounding")
 	round.End()
@@ -25,7 +25,7 @@ func TestSpanTree(t *testing.T) {
 	if err := tr.WriteText(&text); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"solve", "lp", "rounding", "points=40", "objective=3.5", "engine=revised"} {
+	for _, want := range []string{"solve", "lp", "rounding", "points=40", "objective=3.5", "engine=float64"} {
 		if !strings.Contains(text.String(), want) {
 			t.Errorf("text rendering missing %q:\n%s", want, text.String())
 		}
@@ -72,7 +72,7 @@ func TestConcurrentSpans(t *testing.T) {
 				child.SetInt("iter", int64(i))
 				child.End()
 				reg.Counter(MLPPivots).Add(3)
-				reg.CounterWith(MLPColdFallback, "reason", ReasonDivergence).Inc()
+				reg.CounterWith(MFaultInjected, "point", "solve_panic").Inc()
 				v := reg.Gauge(MDecompPoolBusy).Add(1)
 				reg.Gauge(MDecompPoolMax).SetMax(v)
 				reg.Histogram(MDecompCompSecs, nil).Observe(0.001)
@@ -105,8 +105,8 @@ func TestSnapshotDeterminism(t *testing.T) {
 	reg := NewRegistry()
 	Declare(reg)
 	reg.Counter(MLPPivots).Add(17)
-	reg.CounterWith(MLPColdFallback, "reason", ReasonDivergence).Inc()
-	reg.CounterWith(MLPColdFallback, "reason", ReasonBasisShape).Add(2)
+	reg.CounterWith(MFaultInjected, "point", "solve_panic").Inc()
+	reg.CounterWith(MFaultInjected, "point", "solve_latency").Add(2)
 	reg.Gauge(MDecompComponents).Set(3)
 	reg.Histogram(MDecompCompSecs, nil).Observe(0.002)
 
@@ -134,7 +134,7 @@ func TestSnapshotDeterminism(t *testing.T) {
 func TestGoldenEncodings(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("lp_pivots_total").Add(42)
-	reg.CounterWith("lp_cold_fallback_total", "reason", "divergence").Inc()
+	reg.CounterWith("fault_injected_total", "point", "solve_panic").Inc()
 	reg.Gauge("decomp_components").Set(2)
 	h := reg.Histogram("component_seconds", []float64{0.01, 1})
 	h.Observe(0.005)
@@ -148,8 +148,8 @@ func TestGoldenEncodings(t *testing.T) {
 	wantJSON := `{
   "component_seconds": {"count": 3, "sum": 2.505, "buckets": {"0.01": 1, "1": 2, "+Inf": 3}},
   "decomp_components": 2,
-  "lp_cold_fallback_total": 1,
-  "lp_cold_fallback_total{reason=\"divergence\"}": 1,
+  "fault_injected_total": 1,
+  "fault_injected_total{point=\"solve_panic\"}": 1,
   "lp_pivots_total": 42
 }
 `
@@ -165,9 +165,9 @@ func TestGoldenEncodings(t *testing.T) {
 	if err := reg.WritePrometheus(&prom); err != nil {
 		t.Fatal(err)
 	}
-	wantProm := `# HELP lp_cold_fallback_total Cold solves forced by a failed warm start, by reason.
-# TYPE lp_cold_fallback_total counter
-lp_cold_fallback_total{reason="divergence"} 1
+	wantProm := `# HELP fault_injected_total Deterministic fault injections fired, by point.
+# TYPE fault_injected_total counter
+fault_injected_total{point="solve_panic"} 1
 # HELP lp_pivots_total Simplex pivots across both phases, all engines.
 # TYPE lp_pivots_total counter
 lp_pivots_total 42
@@ -246,9 +246,9 @@ func TestNoopZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		sp := tr.Root().Start("solve")
 		sp.SetInt("jobs", 40)
-		sp.SetStr("engine", "revised")
+		sp.SetStr("engine", "float64")
 		reg.Counter(MLPPivots).Add(3)
-		reg.CounterWith(MLPColdFallback, "reason", ReasonDivergence).Inc()
+		reg.CounterWith(MFaultInjected, "point", "solve_panic").Inc()
 		g := reg.Gauge(MDecompPoolBusy)
 		g.Add(1)
 		g.Add(-1)

@@ -31,7 +31,7 @@ func TestServeEndpoints(t *testing.T) {
 	reg := obs.NewRegistry()
 	obs.Declare(reg)
 	reg.Counter(obs.MLPPivots).Add(42)
-	reg.CounterWith(obs.MLPColdFallback, "reason", obs.ReasonDivergence).Inc()
+	reg.CounterWith(obs.MFaultInjected, "point", "solve_panic").Inc()
 
 	addr, err := Serve("127.0.0.1:0", reg)
 	if err != nil {
@@ -46,7 +46,7 @@ func TestServeEndpoints(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE lp_pivots_total counter",
 		"lp_pivots_total 42",
-		`lp_cold_fallback_total{reason="divergence"} 1`,
+		`fault_injected_total{point="solve_panic"} 1`,
 	} {
 		if !strings.Contains(prom, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, prom)

@@ -73,10 +73,10 @@ func TestSolveIdenticalJobs(t *testing.T) {
 	}
 }
 
-// TestSolveRevisedEngineEndToEnd runs the whole long-window pipeline on
-// the revised-simplex and rational engines: each must produce a feasible
-// schedule and match the dense engine's LP optimum.
-func TestSolveRevisedEngineEndToEnd(t *testing.T) {
+// TestSolveRationalEngineEndToEnd runs the whole long-window pipeline on
+// the rational engine: it must produce a feasible schedule and match
+// the dense engine's LP optimum.
+func TestSolveRationalEngineEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	for trial := 0; trial < 6; trial++ {
 		inst, _ := workload.Long(rng, 8, 1, 10)
@@ -84,18 +84,16 @@ func TestSolveRevisedEngineEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, engine := range []Engine{Revised, Rational} {
-			res, err := Solve(inst, Options{Engine: engine})
-			if err != nil {
-				t.Fatalf("trial %d %v: %v", trial, engine, err)
-			}
-			if err := ise.ValidateTISE(inst, res.Schedule); err != nil {
-				t.Fatalf("trial %d %v: infeasible: %v", trial, engine, err)
-			}
-			if d := res.LP.Objective - dense.LP.Objective; d > 1e-6 || d < -1e-6 {
-				t.Errorf("trial %d: LP objectives differ: %v %v, dense %v",
-					trial, engine, res.LP.Objective, dense.LP.Objective)
-			}
+		res, err := Solve(inst, Options{Engine: Rational})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if err := ise.ValidateTISE(inst, res.Schedule); err != nil {
+			t.Fatalf("trial %d: infeasible: %v", trial, err)
+		}
+		if d := res.LP.Objective - dense.LP.Objective; d > 1e-6 || d < -1e-6 {
+			t.Errorf("trial %d: LP objectives differ: rational %v, dense %v",
+				trial, res.LP.Objective, dense.LP.Objective)
 		}
 	}
 }
@@ -118,7 +116,7 @@ func TestNumericalErrorDistinct(t *testing.T) {
 	in.AddJob(0, 20, 8)
 	in.AddJob(0, 20, 8)
 	in.AddJob(0, 20, 8)
-	_, err := SolveLP(in, 1, Revised)
+	_, err := SolveLP(in, 1, Float64)
 	var inf *InfeasibleError
 	if !errors.As(err, &inf) {
 		t.Fatalf("expected *InfeasibleError, got %v", err)

@@ -19,12 +19,6 @@ const (
 	// Rational uses exact big.Rat simplex (slow; small instances and
 	// cross-validation only).
 	Rational
-	// Revised uses the sparse-column revised simplex with a sparse LU
-	// basis factorization (Markowitz-ordered, Forrest–Tomlin column
-	// updates): same float64 arithmetic as Float64 but O(nnz) memory
-	// instead of the dense tableau's O(m*n). Both skip zeros when they
-	// pivot; on single cold solves at served sizes Float64 is faster.
-	Revised
 )
 
 func (e Engine) String() string {
@@ -33,8 +27,6 @@ func (e Engine) String() string {
 		return "float64"
 	case Rational:
 		return "rational"
-	case Revised:
-		return "revised"
 	default:
 		return fmt.Sprintf("Engine(%d)", int(e))
 	}
@@ -62,8 +54,8 @@ type Fractional struct {
 	// — the shadow price of the m' machine cap on the window ending at
 	// that point. Nonzero entries mark the congested stretches where
 	// one more machine would reduce the fractional calibration count.
-	// Populated by the float engines; nil under Rational, which returns
-	// no duals.
+	// Populated by the Float64 engine; nil under Rational, which
+	// returns no duals.
 	MachinePrice []float64
 }
 
@@ -203,13 +195,12 @@ func solveLP(inst *ise.Instance, mPrime int, engine Engine, met *obs.Registry, c
 	if err := ctl.ErrPhase("lp"); err != nil {
 		return nil, err
 	}
-	sol, err := solveProblem(prob, engine, met, ctl)
+	sol, err := solveProblem(prob, engine, ctl)
 	if err != nil {
 		return nil, err
 	}
 	// Pivots are counted here, once per engine dispatch, so the series
-	// covers all three engines; the revised engine records only its
-	// internal series (cold solves, LU telemetry, ...) itself.
+	// covers both engines.
 	met.Counter(obs.MTISEResolves).Inc()
 	met.Counter(obs.MLPPivots).Add(int64(sol.Iterations))
 	switch sol.Status {
@@ -249,10 +240,9 @@ func solveLP(inst *ise.Instance, mPrime int, engine Engine, met *obs.Registry, c
 
 // solveProblem dispatches to the selected engine, normalizing the
 // rational engine's result to float64 (without duals).
-func solveProblem(prob *lp.Problem, engine Engine, met *obs.Registry, ctl *robust.Control) (*lp.Solution, error) {
+func solveProblem(prob *lp.Problem, engine Engine, ctl *robust.Control) (*lp.Solution, error) {
 	check := ctl.CheckFunc("lp")
-	switch engine {
-	case Rational:
+	if engine == Rational {
 		rs, err := lp.SolveRationalChecked(prob, check)
 		if err != nil {
 			return nil, err
@@ -266,11 +256,8 @@ func solveProblem(prob *lp.Problem, engine Engine, met *obs.Registry, ctl *robus
 			sol.Objective = rs.ObjectiveFloat()
 		}
 		return sol, nil
-	case Revised:
-		return lp.SolveRevisedWith(prob, lp.RevisedOptions{Metrics: met, Check: check})
-	default:
-		return lp.SolveChecked(prob, check)
 	}
+	return lp.SolveChecked(prob, check)
 }
 
 // TotalCalibrations returns the fractional calibration mass sum(C_t).

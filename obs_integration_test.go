@@ -27,7 +27,7 @@ func TestTracedSolveEndToEnd(t *testing.T) {
 	tr := calib.NewTrace("solve")
 	met := calib.NewMetrics()
 	sol, err := calib.Solve(inst, &calib.Options{
-		MMBox:   calib.MMLPSearch,
+		MMBox:   calib.MMLPRound,
 		Trace:   tr,
 		Metrics: met,
 	})
@@ -65,10 +65,10 @@ func TestTracedSolveEndToEnd(t *testing.T) {
 		t.Fatalf("metrics JSON does not parse: %v\n%s", err, js.String())
 	}
 	for _, key := range []string{
-		"lp_pivots_total", "lp_warm_start_hits_total",
-		"lp_cold_fallback_total", "decomp_components",
+		"lp_pivots_total", "decomp_tasks_total",
+		"mm_rounding_trials_total", "decomp_components",
 		"decomp_component_seconds", "solve_seconds",
-		"tise_resolves_total", "mm_lp_probes_total",
+		"tise_resolves_total", "mm_lp_solves_total",
 	} {
 		if _, ok := dump[key]; !ok {
 			t.Errorf("metrics JSON missing %q:\n%s", key, js.String())
@@ -80,8 +80,8 @@ func TestTracedSolveEndToEnd(t *testing.T) {
 	if v, _ := dump["tise_resolves_total"].(float64); v <= 0 {
 		t.Errorf("tise_resolves_total = %v, want > 0", dump["tise_resolves_total"])
 	}
-	if v, _ := dump["mm_lp_probes_total"].(float64); v <= 0 {
-		t.Errorf("mm_lp_probes_total = %v, want > 0", dump["mm_lp_probes_total"])
+	if v, _ := dump["mm_lp_solves_total"].(float64); v <= 0 {
+		t.Errorf("mm_lp_solves_total = %v, want > 0", dump["mm_lp_solves_total"])
 	}
 	hist, _ := dump["solve_seconds"].(map[string]any)
 	if hist == nil {
