@@ -495,6 +495,10 @@ func TestRouterValidation(t *testing.T) {
 	if got := post(`{"instance": {"t": 10, "m": 1, "jobs": [{"id": 0, "release": 50, "deadline": 10, "processing": 5}]}}`); got != http.StatusBadRequest {
 		t.Errorf("invalid instance: status %d", got)
 	}
+	// r + p wraps around int64 for this window [2^63-3, 2^63-1).
+	if got := post(`{"instance": {"t": 10, "m": 1, "jobs": [{"id": 0, "release": 9223372036854775804, "deadline": 9223372036854775806, "processing": 5}]}}`); got != http.StatusBadRequest {
+		t.Errorf("window near 2^63: status %d", got)
+	}
 	resp, err := http.Get(router.URL + "/v1/solve")
 	if err != nil {
 		t.Fatal(err)

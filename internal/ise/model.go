@@ -86,9 +86,23 @@ func (in *Instance) AddJob(release, deadline, processing Time) int {
 // N returns the number of jobs.
 func (in *Instance) N() int { return len(in.Jobs) }
 
+// MaxTime bounds the times an instance may carry, so that no time
+// expression the solvers form can wrap around int64. The largest such
+// expression is a potential calibration point r_j + k·T with k up to
+// the job count n (tise.CalibrationPoints). Validate therefore requires
+// T·(n+1) <= MaxTime, every release and deadline in [-MaxTime,
+// MaxTime], and the latest deadline at most MaxTime after the earliest
+// release, so the canonical form (earliest release shifted to 0)
+// validates too. Every point then stays within 2·MaxTime, and the
+// short-window interval ends t + 2γT (γ = 2, t <= r_j) within
+// 3·MaxTime, below the ±2^60 "before every tick" sentinels of the MM
+// boxes and far below 2^63.
+const MaxTime Time = 1 << 58
+
 // Validate checks that the instance is well-formed per the problem
 // definition: T >= 2, M >= 1, and for every job 0 < p_j <= T and
-// d_j >= r_j + p_j, with IDs equal to indices.
+// d_j >= r_j + p_j, with IDs equal to indices; and that its times
+// respect MaxTime.
 func (in *Instance) Validate() error {
 	if in.T < 2 {
 		return fmt.Errorf("ise: calibration length T=%d, want >= 2", in.T)
@@ -96,9 +110,22 @@ func (in *Instance) Validate() error {
 	if in.M < 1 {
 		return fmt.Errorf("ise: machine count M=%d, want >= 1", in.M)
 	}
+	if in.T > MaxTime/Time(len(in.Jobs)+1) {
+		return fmt.Errorf("ise: calibration length T=%d with %d jobs, want T*(n+1) <= %d", in.T, len(in.Jobs), MaxTime)
+	}
+	var lo, hi Time
 	for i, j := range in.Jobs {
 		if j.ID != i {
 			return fmt.Errorf("ise: job at index %d has ID %d", i, j.ID)
+		}
+		if j.Release < -MaxTime || j.Release > MaxTime || j.Deadline < -MaxTime || j.Deadline > MaxTime {
+			return fmt.Errorf("ise: %v has a time outside [-%d, %d]", j, MaxTime, MaxTime)
+		}
+		if i == 0 || j.Release < lo {
+			lo = j.Release
+		}
+		if i == 0 || j.Deadline > hi {
+			hi = j.Deadline
 		}
 		if j.Processing <= 0 {
 			return fmt.Errorf("ise: %v has non-positive processing time", j)
@@ -109,6 +136,9 @@ func (in *Instance) Validate() error {
 		if j.Deadline < j.Release+j.Processing {
 			return fmt.Errorf("ise: %v has window shorter than its processing time", j)
 		}
+	}
+	if hi-lo > MaxTime {
+		return fmt.Errorf("ise: jobs span %d ticks, want <= %d", hi-lo, MaxTime)
 	}
 	return nil
 }

@@ -45,6 +45,12 @@ func TestInstanceValidate(t *testing.T) {
 	if err := valid.Validate(); err != nil {
 		t.Fatalf("valid instance rejected: %v", err)
 	}
+	edge := NewInstance(MaxTime/3, 1)
+	edge.AddJob(0, MaxTime, 5)
+	edge.AddJob(0, 10, 5)
+	if err := edge.Validate(); err != nil {
+		t.Fatalf("instance at the MaxTime bounds rejected: %v", err)
+	}
 
 	cases := []struct {
 		name  string
@@ -79,6 +85,34 @@ func TestInstanceValidate(t *testing.T) {
 			in := NewInstance(5, 1)
 			in.AddJob(0, 5, 1)
 			in.Jobs[0].ID = 7
+			return in
+		}},
+		// r + p wraps around int64 and would pass d >= r + p.
+		{"window near 2^63", func() *Instance {
+			in := NewInstance(10, 1)
+			in.AddJob(1<<63-3, 1<<63-1, 5)
+			return in
+		}},
+		{"release below -MaxTime", func() *Instance {
+			in := NewInstance(10, 1)
+			in.AddJob(-MaxTime-1, 0, 5)
+			return in
+		}},
+		{"deadline above MaxTime", func() *Instance {
+			in := NewInstance(10, 1)
+			in.AddJob(0, MaxTime+1, 5)
+			return in
+		}},
+		{"span above MaxTime", func() *Instance {
+			in := NewInstance(10, 1)
+			in.AddJob(-MaxTime, -MaxTime+20, 5)
+			in.AddJob(10, 30, 5)
+			return in
+		}},
+		{"T*(n+1) above MaxTime", func() *Instance {
+			in := NewInstance(MaxTime/2, 1)
+			in.AddJob(0, 10, 5)
+			in.AddJob(0, 10, 5)
 			return in
 		}},
 	}

@@ -287,3 +287,33 @@ func TestViolationKindString(t *testing.T) {
 		t.Errorf("unknown kind string = %q", got)
 	}
 }
+
+// TestValidateNoWrapNearMaxInt64 places a job with window [0, 20) at
+// 2^63-2, inside a calibration at 2^63-4: start+p and the calibration's
+// end both wrap around int64, and a wrapped comparison would accept
+// the schedule. The run lies outside the window, and an uncalibrated
+// run must be caught the same way.
+func TestValidateNoWrapNearMaxInt64(t *testing.T) {
+	const top = Time(1<<63 - 1)
+	in := NewInstance(10, 1)
+	in.AddJob(0, 20, 5)
+	s := NewSchedule(1)
+	s.Calibrate(0, top-3)
+	s.Place(0, 0, top-1)
+	if kind, ok := KindOf(Validate(in, s)); !ok || kind != ViolationWindow {
+		t.Fatalf("start 2^63-2: got %v, want a %v violation", Validate(in, s), ViolationWindow)
+	}
+	// In the window, but the only calibration starts near 2^63 and
+	// so ends (wrapped) below the run's end.
+	s.Placements[0].Start = 10
+	if kind, ok := KindOf(Validate(in, s)); !ok || kind != ViolationUncalibrated {
+		t.Fatalf("calibration at 2^63-4: got %v, want a %v violation", Validate(in, s), ViolationUncalibrated)
+	}
+	// Calibrations at both ends of int64 are far apart, not
+	// overlapping: their difference wraps as an int64.
+	s.Calibrate(0, -top-1)
+	s.Calibrate(0, 5)
+	if err := Validate(in, s); err != nil {
+		t.Fatalf("calibrations at -2^63, 5 and 2^63-4: %v", err)
+	}
+}

@@ -99,19 +99,21 @@ func Replay(inst *ise.Instance, s *ise.Schedule) *Report {
 	}
 	r.PerMachine = make([]MachineStats, machines)
 
-	// Build per-machine timelines.
+	// Build per-machine timelines. Schedule times are unchecked input,
+	// so a calibration is kept by its start alone and every check below
+	// compares in a form that cannot wrap around int64.
 	type seg struct {
 		start, end ise.Time
-		job        int // -1 for calibration
+		job        int
 	}
-	cals := make([][]seg, machines)
+	cals := make([][]ise.Time, machines)
 	runs := make([][]seg, machines)
 	for _, c := range s.Calibrations {
 		if c.Machine < 0 || c.Machine >= machines {
 			fail("calibration on unknown machine %d", c.Machine)
 			return r
 		}
-		cals[c.Machine] = append(cals[c.Machine], seg{c.Start, c.Start + inst.T, -1})
+		cals[c.Machine] = append(cals[c.Machine], c.Start)
 	}
 	placed := make([]int, inst.N())
 	for _, p := range s.Placements {
@@ -140,17 +142,18 @@ func Replay(inst *ise.Instance, s *ise.Schedule) *Report {
 
 	for m := 0; m < machines; m++ {
 		cs, rs := cals[m], runs[m]
-		sort.Slice(cs, func(a, b int) bool { return cs[a].start < cs[b].start })
+		sort.Slice(cs, func(a, b int) bool { return cs[a] < cs[b] })
 		sort.Slice(rs, func(a, b int) bool { return rs[a].start < rs[b].start })
 		st := &r.PerMachine[m]
 		st.Calibrations = len(cs)
 		// Calibration spacing.
 		for i := range cs {
-			if i > 0 && cs[i].start < cs[i-1].end {
-				fail("machine %d: calibrations at %d and %d overlap", m, cs[i-1].start, cs[i].start)
+			// Sorted starts: their gap is exact as a uint64.
+			if i > 0 && uint64(cs[i]-cs[i-1]) < uint64(inst.T) {
+				fail("machine %d: calibrations at %d and %d overlap", m, cs[i-1], cs[i])
 			}
 			st.CalibratedTicks += inst.T
-			r.Events = append(r.Events, Event{cs[i].start, m, EvCalibrate, -1})
+			r.Events = append(r.Events, Event{cs[i], m, EvCalibrate, -1})
 		}
 		// Walk runs: sequential, each inside one calibration, each
 		// inside its window.
@@ -165,18 +168,21 @@ func Replay(inst *ise.Instance, s *ise.Schedule) *Report {
 			if run.start < j.Release {
 				fail("job %d starts at %d before release %d", run.job, run.start, j.Release)
 			}
-			if run.end > j.Deadline {
+			// run.end may have wrapped for a start past the window, so
+			// the deadline check compares the start; once it passes,
+			// run.end is exact and end-T cannot wrap either.
+			if run.start > j.Deadline-(run.end-run.start) {
 				fail("job %d ends at %d after deadline %d", run.job, run.end, j.Deadline)
 			} else {
 				r.JobsCompleted++
 			}
 			// Advance to the calibration that could contain this run.
-			for ci < len(cs) && cs[ci].end < run.end {
+			for ci < len(cs) && cs[ci] < run.end-inst.T {
 				ci++
 			}
 			contained := false
-			for k := ci; k < len(cs) && cs[k].start <= run.start; k++ {
-				if cs[k].start <= run.start && run.end <= cs[k].end {
+			for k := ci; k < len(cs) && cs[k] <= run.start; k++ {
+				if run.end-inst.T <= cs[k] {
 					contained = true
 					break
 				}
@@ -184,8 +190,8 @@ func Replay(inst *ise.Instance, s *ise.Schedule) *Report {
 			// ci may have advanced past a containing calibration when
 			// runs nest oddly; rescan defensively on failure.
 			if !contained {
-				for k := range cs {
-					if cs[k].start <= run.start && run.end <= cs[k].end {
+				for _, c := range cs {
+					if c <= run.start && run.end-inst.T <= c {
 						contained = true
 						break
 					}

@@ -151,3 +151,28 @@ func TestEventKindString(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayNoWrapNearMaxInt64 replays a job with window [0, 20)
+// placed at 2^63-2 inside a calibration at 2^63-4. Both ends wrap
+// around int64; a wrapped comparison would call the run on time and
+// calibrated.
+func TestReplayNoWrapNearMaxInt64(t *testing.T) {
+	const top = ise.Time(1<<63 - 1)
+	in := ise.NewInstance(10, 1)
+	in.AddJob(0, 20, 5)
+	s := ise.NewSchedule(1)
+	s.Calibrate(0, top-3)
+	s.Place(0, 0, top-1)
+	if r := Replay(in, s); r.Feasible {
+		t.Fatal("run at 2^63-2 replayed as feasible")
+	}
+	s.Placements[0].Start = 10
+	if r := Replay(in, s); r.Feasible {
+		t.Fatal("run under a calibration at 2^63-4 replayed as feasible")
+	}
+	s.Calibrate(0, -top-1)
+	s.Calibrate(0, 5)
+	if r := Replay(in, s); !r.Feasible {
+		t.Fatalf("calibrations at -2^63, 5 and 2^63-4: %s", r.Violation)
+	}
+}

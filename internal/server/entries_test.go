@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"calib/api"
+	"calib/internal/canon"
 	"calib/internal/ise"
 )
 
@@ -254,5 +255,53 @@ func TestSolvePeekProtocol(t *testing.T) {
 	}
 	if miss.Cache != "peek-miss" || miss.Outcome != "ok" || miss.Status != http.StatusNoContent {
 		t.Fatalf("peek miss record = %+v", miss)
+	}
+}
+
+// TestOverflowingTimesRejected: times near 2^63 must not slip past the
+// checks by wrapping around int64. A replica entry whose placement
+// starts at 2^63-2 inside a calibration at 2^63-4 (the job's window is
+// [0, 20)) is rejected and never served, and an instance whose window
+// [2^63-3, 2^63-1) is shorter than its job's processing time is a 400,
+// not a solver failure.
+func TestOverflowingTimesRejected(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	const top = ise.Time(1<<63 - 1)
+	inst := ise.NewInstance(10, 1)
+	inst.AddJob(0, 20, 5)
+	sched := ise.NewSchedule(1)
+	sched.Calibrate(0, top-3)
+	sched.Place(0, 0, top-1)
+	entry := api.CacheEntriesRequest{Entries: []api.CacheEntry{{
+		Request: &api.SolveRequest{Instance: inst},
+		Response: &api.SolveResponse{
+			Key:          keyString(canon.Key(inst)),
+			Schedule:     sched,
+			Calibrations: 1,
+			MachinesUsed: 1,
+			Components:   1,
+		},
+	}}}
+	out := decode[api.CacheEntriesResponse](t, postJSON(t, ts.URL+"/v1/cache/entries", entry))
+	if out.Rejected != 1 || out.Stored != 0 {
+		t.Fatalf("overflowing replica entry: %+v, want 1 rejected", out)
+	}
+	got := decode[api.SolveResponse](t, postJSON(t, ts.URL+"/v1/solve", api.SolveRequest{Instance: inst}))
+	if got.Cached {
+		t.Fatal("rejected replica entry was served from cache")
+	}
+	if err := ise.Validate(inst, got.Schedule); err != nil {
+		t.Fatalf("solved schedule infeasible: %v", err)
+	}
+
+	wraps := ise.NewInstance(10, 1)
+	wraps.AddJob(top-2, top, 5)
+	resp := postJSON(t, ts.URL+"/v1/solve", api.SolveRequest{Instance: wraps})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("window [2^63-3, 2^63-1) with p = 5: status %d, want 400", resp.StatusCode)
 	}
 }
