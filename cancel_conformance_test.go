@@ -4,9 +4,11 @@ package calib_test
 // return within 100ms of its context being canceled, even deep inside
 // a pathological instance's hot loop (LP build and pivots,
 // branch-and-bound nodes). The per-engine check cadences (every 64
-// rows of the dense tableau's build and every pivot for the
-// dense/rational engines, every 512 nodes for the searches) are sized
-// so this bound holds comfortably under -race.
+// rows of the float64 tableau's build and every pivot for the
+// float64/rational engines, every 512 nodes for the searches) are
+// sized so this bound holds comfortably under -race: over 20 -race
+// runs on a 2-vCPU Xeon VM the slowest case returned 16ms after its
+// cancel.
 
 import (
 	"context"
@@ -31,9 +33,10 @@ const cancelLatencyBound = 100 * time.Millisecond
 
 // cancelAfter is how long each case runs before it is canceled. It is
 // at most a third of the fastest case's uncanceled time (SolveRobust on
-// hardLong, about 95ms on a 2-vCPU VM without -race), so every case is
-// still mid-solve when the cancel lands.
-const cancelAfter = 25 * time.Millisecond
+// hardLong, 37-61ms over 14 runs on a 2-vCPU Xeon VM without -race,
+// and 0.57-0.74s with it), so every case is still mid-solve when the
+// cancel lands, also on a machine a few times faster.
+const cancelAfter = 12 * time.Millisecond
 
 // hardInstances builds instances big enough that each solver is still
 // mid-search when the cancel lands.

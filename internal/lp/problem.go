@@ -4,9 +4,13 @@
 //
 // Two engines solve the same Problem type:
 //
-//   - Solve: a dense two-phase tableau simplex over float64, with
-//     Dantzig pricing and a Bland's-rule fallback that guarantees
-//     termination under degeneracy;
+//   - Solve: a two-phase tableau simplex over float64, with Dantzig
+//     pricing and a Bland's-rule fallback that guarantees termination
+//     under degeneracy. Its tableau is condensed: it stores only the
+//     nonbasic variables' columns, (m+1)×(n−m+1) cells for m rows and
+//     n variables counting slacks and artificials, since a basic
+//     column is the unit vector of its row. It answers bit for bit as
+//     the full tableau would (see tableau);
 //   - SolveRational: an exact simplex over math/big.Rat used to
 //     cross-check the float engine on small problems (experiment T6).
 //
@@ -194,7 +198,7 @@ type Solution struct {
 	X          []float64 // variable values; valid only when Status == Optimal
 	Iterations int       // simplex pivots performed across both phases
 	// Dual holds the dual value (shadow price) of each constraint row,
-	// in input order; populated by the dense engine when optimal.
+	// in input order; populated by the float64 engine when optimal.
 	// Signs follow the minimization convention: for a binding <= row
 	// the dual is <= 0 ... the test suite asserts weak duality and
 	// complementary slackness rather than a sign convention.

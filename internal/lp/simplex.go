@@ -12,22 +12,40 @@ const (
 	epsPhase1  = 1e-7 // residual artificial mass considered infeasible
 )
 
-// tableau is a dense simplex tableau: m constraint rows plus one cost
-// row, n columns plus one right-hand-side column, stored row-major.
+// tableau is a condensed simplex tableau: m constraint rows plus one
+// cost row, over the nonbasic variables only plus a right-hand-side
+// column, stored row-major. A basic variable's column is the unit
+// vector of its row, so it is not stored: the n variables share
+// w = n-m slots, one per nonbasic variable, and column w is the rhs.
+// A pivot hands the entering variable's slot to the leaving variable.
+//
+// Every stored cell goes through exactly the floating-point operations
+// a full (m+1)×(n+1) tableau applies to the same variable's cell, and
+// every pricing, ratio-test and purge decision picks the variable the
+// full tableau picks, so the two layouts give bit-identical solutions,
+// duals and pivot counts. Three facts make that hold: the leaving
+// variable's cells are computed as 1*inv in the pivot row and +0-f*inv
+// elsewhere (the full tableau subtracts from the +0 of its unit
+// column there); ties break on variable index, not slot; and a basic
+// variable's reduced cost is exactly +0 in the full tableau (installCost
+// gives x-x, a pivot writes 0), so it is never chosen and contributes
+// +0 to a dual.
 type tableau struct {
-	m, n  int // constraint rows, columns excluding rhs
-	a     []float64
-	basis []int // basic variable of each constraint row
-	nvar  int   // structural variables (prefix of columns)
-	artLo int   // first artificial column; columns >= artLo are artificial
+	m, n   int // constraint rows, variables
+	w      int // slots, n-m; column w is the rhs
+	a      []float64
+	basis  []int // basic variable of each constraint row
+	varOf  []int // variable in each slot
+	slotOf []int // slot of each variable, -1 while it is basic
+	artLo  int   // first artificial variable; variables >= artLo are artificial
 	// Dual extraction: row i's dual value is dualMult[i] times the
-	// final reduced cost of column dualCol[i] (the row's slack,
+	// final reduced cost of variable dualCol[i] (the row's slack,
 	// surplus, or artificial), with dualMult folding in both the
 	// column's unit sign and any rhs-normalization flip.
 	dualCol  []int
 	dualMult []float64
 	// Elimination scratch, allocated once per solve: the pivot row's
-	// nonzero columns (capacity n+1) and the pivot column's nonzero
+	// nonzero columns (capacity w+1) and the pivot column's nonzero
 	// rows, cost row included (capacity m+1).
 	cols, rows []int
 	// The nonzero index: rowNZ holds rw words per row (cost row
@@ -40,10 +58,10 @@ type tableau struct {
 	rw, cw       int
 }
 
-func (t *tableau) at(i, j int) float64     { return t.a[i*(t.n+1)+j] }
-func (t *tableau) set(i, j int, v float64) { t.a[i*(t.n+1)+j] = v }
-func (t *tableau) row(i int) []float64     { return t.a[i*(t.n+1) : (i+1)*(t.n+1)] }
-func (t *tableau) rhs(i int) float64       { return t.at(i, t.n) }
+func (t *tableau) at(i, j int) float64     { return t.a[i*(t.w+1)+j] }
+func (t *tableau) set(i, j int, v float64) { t.a[i*(t.w+1)+j] = v }
+func (t *tableau) row(i int) []float64     { return t.a[i*(t.w+1) : (i+1)*(t.w+1)] }
+func (t *tableau) rhs(i int) float64       { return t.at(i, t.w) }
 
 // rowBits and colBits are row i's and column j's words of the nonzero
 // index.
@@ -52,8 +70,8 @@ func (t *tableau) colBits(j int) []uint64 { return t.colNZ[j*t.cw : (j+1)*t.cw] 
 
 // newIndex allocates an empty nonzero index for the tableau's shape.
 func (t *tableau) newIndex() {
-	t.rw, t.cw = (t.n+64)/64, (t.m+64)/64
-	nz := make([]uint64, (t.m+1)*t.rw+(t.n+1)*t.cw)
+	t.rw, t.cw = (t.w+64)/64, (t.m+64)/64
+	nz := make([]uint64, (t.m+1)*t.rw+(t.w+1)*t.cw)
 	t.rowNZ, t.colNZ = nz[:(t.m+1)*t.rw], nz[(t.m+1)*t.rw:]
 }
 
@@ -63,17 +81,20 @@ func (t *tableau) mark(i, j int) {
 	t.colNZ[j*t.cw+(i>>6)] |= 1 << (i & 63)
 }
 
-// Solve runs the two-phase dense simplex on p.
+// Solve runs the two-phase simplex on p over a condensed float64
+// tableau.
 func Solve(p *Problem) (*Solution, error) {
 	return SolveChecked(p, nil)
 }
 
 // SolveChecked is Solve with a cancellation/budget hook consulted once
-// per pivot (each pivot prices every column, O(n) before any
+// per pivot (each pivot prices every nonbasic column, O(n) before any
 // elimination, so the per-pivot atomic check is noise) and, with zero
 // work, every buildCheckRows rows while the tableau is built. On abort
 // the Solution carries Status Aborted and the check's error is
-// returned.
+// returned. Each call allocates one condensed tableau of
+// (m+1)×(n−m+1) float64s, m rows and n variables counting slacks and
+// artificials, and keeps nothing once it returns.
 func SolveChecked(p *Problem, check CheckFunc) (*Solution, error) {
 	t, hasArt, err := build(p, check)
 	if err != nil {
@@ -87,7 +108,7 @@ func SolveChecked(p *Problem, check CheckFunc) (*Solution, error) {
 			cost[j] = 1
 		}
 		t.installCost(cost)
-		st, iters, err := t.iterate(cost, true, check)
+		st, iters, err := t.iterate(true, check)
 		sol.Iterations += iters
 		if err != nil {
 			sol.Status = st
@@ -99,7 +120,7 @@ func SolveChecked(p *Problem, check CheckFunc) (*Solution, error) {
 			sol.Status = IterLimit
 			return sol, nil
 		}
-		if w := -t.at(t.m, t.n); w > epsPhase1*(1+math.Abs(w)) {
+		if mass := -t.rhs(t.m); mass > epsPhase1*(1+math.Abs(mass)) {
 			sol.Status = Infeasible
 			return sol, nil
 		}
@@ -109,7 +130,7 @@ func SolveChecked(p *Problem, check CheckFunc) (*Solution, error) {
 	cost := make([]float64, t.n)
 	copy(cost, p.obj)
 	t.installCost(cost)
-	st, iters, err := t.iterate(cost, false, check)
+	st, iters, err := t.iterate(false, check)
 	sol.Iterations += iters
 	sol.Status = st
 	if err != nil {
@@ -134,7 +155,11 @@ func SolveChecked(p *Problem, check CheckFunc) (*Solution, error) {
 	sol.Dual = make([]float64, t.m)
 	crow := t.row(t.m)
 	for i := 0; i < t.m; i++ {
-		sol.Dual[i] = t.dualMult[i] * crow[t.dualCol[i]]
+		var d float64 // a basic variable's reduced cost, +0
+		if s := t.slotOf[t.dualCol[i]]; s >= 0 {
+			d = crow[s]
+		}
+		sol.Dual[i] = t.dualMult[i] * d
 	}
 	return sol, nil
 }
@@ -147,14 +172,16 @@ const buildCheckRows = 64
 
 // build converts p into a tableau in standard form: rhs normalized to
 // be nonnegative, one slack per <=, one surplus per >=, one artificial
-// per >= and =. Returns the tableau and whether artificials exist, or
-// the error of a check that stopped the build.
+// per >= and =. The starting basis is each <= row's slack and each
+// other row's artificial; the slots hold the structural variables and
+// the surpluses in increasing variable index. Returns the tableau and
+// whether artificials exist, or the error of a check that stopped the
+// build.
 func build(p *Problem, check CheckFunc) (*tableau, bool, error) {
-	m := p.NumRows()
+	m, nvar := p.NumRows(), p.NumVars()
 	nSlack, nArt := 0, 0
 	for _, r := range p.rows {
-		rel := normalizedRel(r)
-		switch rel {
+		switch normalizedRel(r) {
 		case LE:
 			nSlack++
 		case GE:
@@ -164,25 +191,35 @@ func build(p *Problem, check CheckFunc) (*tableau, bool, error) {
 			nArt++
 		}
 	}
-	n := p.NumVars() + nSlack + nArt
+	n := nvar + nSlack + nArt
+	w := n - m
 	t := &tableau{
-		m:     m,
-		n:     n,
-		a:     make([]float64, (m+1)*(n+1)),
-		basis: make([]int, m),
-		nvar:  p.NumVars(),
-		artLo: p.NumVars() + nSlack,
+		m:      m,
+		n:      n,
+		w:      w,
+		a:      make([]float64, (m+1)*(w+1)),
+		basis:  make([]int, m),
+		varOf:  make([]int, w),
+		slotOf: make([]int, n),
+		artLo:  nvar + nSlack,
 	}
 	t.dualCol = make([]int, m)
 	t.dualMult = make([]float64, m)
-	t.cols = make([]int, 0, n+1)
+	t.cols = make([]int, 0, w+1)
 	t.rows = make([]int, 0, m+1)
 	t.newIndex()
+	for v := range t.slotOf {
+		t.slotOf[v] = -1
+	}
+	// A structural variable's slot is its own index.
+	for v := 0; v < nvar; v++ {
+		t.varOf[v], t.slotOf[v] = v, v
+	}
 	set := func(i, j int, v float64) {
 		t.set(i, j, v)
 		t.mark(i, j)
 	}
-	slack, art := p.NumVars(), t.artLo
+	slack, art, surplus := nvar, t.artLo, nvar
 	for i, r := range p.rows {
 		if check != nil && i%buildCheckRows == 0 {
 			if err := check(0); err != nil {
@@ -197,24 +234,23 @@ func build(p *Problem, check CheckFunc) (*tableau, bool, error) {
 		for _, term := range r.terms {
 			set(i, term.Var, t.at(i, term.Var)+sign*term.Coeff)
 		}
-		set(i, n, rhs)
+		set(i, w, rhs)
 		switch normalizedRel(r) {
 		case LE:
-			set(i, slack, 1)
 			t.basis[i] = slack
 			// d_slack = -y_norm; y_orig = sign * y_norm.
 			t.dualCol[i], t.dualMult[i] = slack, -sign
 			slack++
 		case GE:
-			set(i, slack, -1)
+			t.varOf[surplus], t.slotOf[slack] = slack, surplus
+			set(i, surplus, -1)
+			surplus++
 			// d_surplus = +y_norm.
 			t.dualCol[i], t.dualMult[i] = slack, sign
 			slack++
-			set(i, art, 1)
 			t.basis[i] = art
 			art++
 		case EQ:
-			set(i, art, 1)
 			t.basis[i] = art
 			// d_artificial = -y_norm (artificials cost 0 in phase 2).
 			t.dualCol[i], t.dualMult[i] = art, -sign
@@ -240,20 +276,26 @@ func normalizedRel(r row) Rel {
 	}
 }
 
-// installCost writes the cost row for the given per-column costs and
+// installCost writes the cost row for the given per-variable costs and
 // prices out the current basis, leaving reduced costs in row m and the
-// negated objective in the cost row's rhs cell.
+// negated objective in the cost row's rhs cell. Pricing out a basic
+// row walks its nonzero index: a cell outside it is zero, and
+// subtracting a zero product leaves every cost cell but a -0 as it
+// was.
 func (t *tableau) installCost(cost []float64) {
 	crow := t.row(t.m)
-	for j := range crow {
-		crow[j] = 0
+	for s, v := range t.varOf {
+		crow[s] = cost[v]
 	}
-	copy(crow, cost)
+	crow[t.w] = 0
 	for i, b := range t.basis {
 		if cb := cost[b]; cb != 0 {
 			ri := t.row(i)
-			for j := range crow {
-				crow[j] -= cb * ri[j]
+			for w, word := range t.rowBits(i) {
+				for ; word != 0; word &= word - 1 {
+					j := w<<6 | bits.TrailingZeros64(word)
+					crow[j] -= cb * ri[j]
+				}
 			}
 		}
 	}
@@ -265,11 +307,13 @@ func (t *tableau) installCost(cost []float64) {
 }
 
 // iterate runs simplex pivots until optimality, unboundedness, or the
-// iteration cap. In phase 1 all columns may enter; in phase 2
-// artificial columns are excluded. Dantzig pricing is used until
+// iteration cap. In phase 1 all variables may enter; in phase 2
+// artificial variables are excluded. Dantzig pricing is used until
 // degeneracy stalls progress, after which Bland's rule takes over to
-// guarantee termination.
-func (t *tableau) iterate(cost []float64, phase1 bool, check CheckFunc) (Status, int, error) {
+// guarantee termination. Both rules scan the slots and break ties on
+// the lowest variable index, as a scan of the full tableau's columns
+// in index order would.
+func (t *tableau) iterate(phase1 bool, check CheckFunc) (Status, int, error) {
 	maxIters := 200*(t.m+t.n) + 20000
 	stall := 0
 	bland := false
@@ -284,21 +328,27 @@ func (t *tableau) iterate(cost []float64, phase1 bool, check CheckFunc) (Status,
 				return Aborted, iter, err
 			}
 		}
-		crow := t.row(t.m)
-		// Entering column.
-		enter := -1
+		crow := t.row(t.m)[:t.w]
+		// Entering slot and its variable.
+		enter, ev := -1, -1
 		if bland {
-			for j := 0; j < hi; j++ {
-				if crow[j] < -epsReduced {
-					enter = j
-					break
+			for s, d := range crow {
+				if d < -epsReduced {
+					if v := t.varOf[s]; v < hi && (ev < 0 || v < ev) {
+						enter, ev = s, v
+					}
 				}
 			}
 		} else {
+			// The variable is loaded only for a candidate at least as
+			// good as the best so far; ev = -1 keeps a reduced cost of
+			// exactly -epsReduced out, as the strict < did.
 			best := -epsReduced
-			for j := 0; j < hi; j++ {
-				if crow[j] < best {
-					best, enter = crow[j], j
+			for s, d := range crow {
+				if d <= best {
+					if v := t.varOf[s]; v < hi && (d < best || v < ev) {
+						best, enter, ev = d, s, v
+					}
 				}
 			}
 		}
@@ -343,7 +393,7 @@ func (t *tableau) iterate(cost []float64, phase1 bool, check CheckFunc) (Status,
 		t.pivot(leave, enter, append(rows, t.m))
 		// Degeneracy watch: if the objective stops improving for many
 		// pivots, fall back to Bland's rule.
-		obj := -t.at(t.m, t.n)
+		obj := -t.rhs(t.m)
 		if obj < lastObj-1e-12 {
 			lastObj = obj
 			stall = 0
@@ -357,22 +407,27 @@ func (t *tableau) iterate(cost []float64, phase1 bool, check CheckFunc) (Status,
 	return IterLimit, maxIters, nil
 }
 
-// pivot performs Gauss-Jordan elimination on (r, c), making column c
-// basic in row r. rows must list every row, the cost row included,
-// whose column-c entry is nonzero, and each of them must have its bit
-// in column c's index. Only those rows change, and only at the pivot
-// row's nonzero columns: for a zero pivot-row entry the full-row
-// update ri[j] - f*0 leaves ri[j] as it was, up to the sign of a zero,
-// and the engine compares ±0 as equal everywhere.
+// pivot performs Gauss-Jordan elimination on (r, s): the variable in
+// slot s becomes basic in row r, and row r's basic variable leaves
+// into slot s. rows must list every row, the cost row included, whose
+// slot-s entry is nonzero, and each of them must have its bit in slot
+// s's index. Only those rows change, and only at the pivot row's
+// nonzero columns: for a zero pivot-row entry the full-row update
+// ri[j] - f*0 leaves ri[j] as it was, up to the sign of a zero, and
+// the engine compares ±0 as equal everywhere.
 //
-// The index follows the elimination: an updated row can turn nonzero
-// only at the pivot row's columns, and such a column only at the
-// pivot column's rows, so each updated row takes the pivot row's bits
-// and each such column the pivot column's. Column c ends as the unit
-// vector e_r.
-func (t *tableau) pivot(r, c int, rows []int) {
+// Slot s then holds the leaving variable's column, which was the unit
+// vector e_r: the pivot row scales its 1 to inv, and each updated row
+// i gets +0 - f*inv, both exactly what the full tableau computes for
+// that column. Its nonzeros sit at the rows of the entering column,
+// so slot s's column index is kept. The rest of the index follows the
+// elimination: an updated row can turn nonzero only at the pivot
+// row's columns, and such a column only at the pivot column's rows,
+// so each updated row takes the pivot row's bits and each such column
+// the pivot column's.
+func (t *tableau) pivot(r, s int, rows []int) {
 	pr := t.row(r)
-	inv := 1 / pr[c]
+	inv := 1 / pr[s]
 	cols := t.cols[:0]
 	prBits := t.rowBits(r)
 	for w, word := range prBits {
@@ -386,45 +441,47 @@ func (t *tableau) pivot(r, c int, rows []int) {
 			}
 		}
 	}
-	pr[c] = 1 // exact
+	pr[s] = inv // the leaving variable's 1, scaled
 	for _, i := range rows {
 		if i == r {
 			continue
 		}
 		ri := t.row(i)
-		f := ri[c]
+		f := ri[s]
 		for _, j := range cols {
 			ri[j] -= f * pr[j]
 		}
-		ri[c] = 0 // exact
+		// Subtract from +0, as the full tableau does at the leaving
+		// variable's column; -(f*inv) would turn a +0 product into -0.
+		ri[s] = 0 - f*inv
 		riBits := t.rowBits(i)
 		for w, word := range prBits {
 			riBits[w] |= word
 		}
 	}
-	cBits := t.colBits(c)
+	sBits := t.colBits(s)
 	for _, j := range cols {
-		if j == c {
+		if j == s {
 			continue
 		}
 		jBits := t.colBits(j)
-		for w, word := range cBits {
+		for w, word := range sBits {
 			jBits[w] |= word
 		}
 	}
-	clear(cBits)
-	cBits[r>>6] = 1 << (r & 63)
-	t.basis[r] = c
+	c, lv := t.varOf[s], t.basis[r]
+	t.varOf[s], t.slotOf[lv] = lv, s
+	t.slotOf[c], t.basis[r] = -1, c
 }
 
-// nonzeroRows returns the rows, the cost row included, whose column-c
+// nonzeroRows returns the rows, the cost row included, whose slot-s
 // entry is nonzero, in the tableau's row scratch.
-func (t *tableau) nonzeroRows(c int) []int {
+func (t *tableau) nonzeroRows(s int) []int {
 	rows := t.rows[:0]
-	col := t.colBits(c)
+	col := t.colBits(s)
 	for w, word := range col {
 		for ; word != 0; word &= word - 1 {
-			if i := w<<6 | bits.TrailingZeros64(word); t.at(i, c) != 0 {
+			if i := w<<6 | bits.TrailingZeros64(word); t.at(i, s) != 0 {
 				rows = append(rows, i)
 			} else {
 				col[w] &^= word & -word
@@ -444,28 +501,31 @@ func (t *tableau) purgeArtificials() {
 			continue
 		}
 		// The artificial is basic at (numerically) zero level. Pivot in
-		// any non-artificial column with a usable coefficient.
+		// the lowest non-artificial variable with a usable coefficient;
+		// usable cells are nonzero, so the row's index covers them.
 		ri := t.row(i)
-		piv := -1
-		for j := 0; j < t.artLo; j++ {
-			if math.Abs(ri[j]) > epsPivot {
-				piv = j
-				break
+		piv, pv := -1, t.artLo
+		for w, word := range t.rowBits(i) {
+			for ; word != 0; word &= word - 1 {
+				s := w<<6 | bits.TrailingZeros64(word)
+				if s == t.w {
+					break
+				}
+				if v := t.varOf[s]; v < pv && math.Abs(ri[s]) > epsPivot {
+					piv, pv = s, v
+				}
 			}
 		}
 		if piv >= 0 {
 			t.pivot(i, piv, t.nonzeroRows(piv))
 			continue
 		}
-		// Redundant row: zero it so it never constrains anything.
-		for j := 0; j <= t.n; j++ {
-			ri[j] = 0
-		}
-		ri[t.basis[i]] = 1 // keep the artificial formally basic at 0
-		t.mark(i, t.basis[i])
+		// Redundant row: zero it so it never constrains anything. Its
+		// artificial stays formally basic at 0.
+		clear(ri)
 	}
-	// Artificial columns are intentionally left intact: phase 2 never
-	// prices them (iterate's hi excludes them), and their tableau
-	// values equal B^{-1} e_i, which is exactly what dual extraction
-	// reads after optimality.
+	// Nonbasic artificial columns are intentionally left intact: phase
+	// 2 never prices them (iterate's hi excludes them), and their
+	// tableau values equal B^{-1} e_i, which is exactly what dual
+	// extraction reads after optimality.
 }

@@ -14,7 +14,9 @@ type Engine int
 
 // LP engines.
 const (
-	// Float64 uses the dense two-phase float tableau simplex (default).
+	// Float64 uses lp.Solve, the two-phase float64 simplex over a
+	// condensed tableau that stores only the nonbasic columns
+	// (default).
 	Float64 Engine = iota
 	// Rational uses exact big.Rat simplex (slow; small instances and
 	// cross-validation only).

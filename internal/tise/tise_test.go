@@ -105,18 +105,20 @@ func TestSolveLPWorkBound(t *testing.T) {
 }
 
 func TestSolveLPInfeasible(t *testing.T) {
-	// m' = 1 machine but two jobs each needing most of a calibration in
-	// the same T-window region: constraint (1) caps C in any window at
-	// 1, work needs more.
+	// m' = 1 machine and three jobs with p = T in [0, 20): each fits
+	// only calibrations starting in [0, 10], and constraints (3)-(4)
+	// need C mass 3 there, while constraint (1) allows 1 at point 0
+	// plus 1 in (0, 10]. (Two such jobs are LP-feasible.) Both engines
+	// must reach the phase-1 infeasible verdict.
 	in := ise.NewInstance(10, 1)
 	in.AddJob(0, 20, 10)
 	in.AddJob(0, 20, 10)
-	_, err := SolveLP(in, 1, Float64)
-	if err == nil {
-		t.Skip("instance unexpectedly feasible; adjust test")
-	}
-	if _, ok := err.(*InfeasibleError); !ok {
-		t.Fatalf("error = %v, want InfeasibleError", err)
+	in.AddJob(0, 20, 10)
+	for _, eng := range []Engine{Float64, Rational} {
+		_, err := SolveLP(in, 1, eng)
+		if _, ok := err.(*InfeasibleError); !ok {
+			t.Errorf("%v: error = %v, want *InfeasibleError", eng, err)
+		}
 	}
 }
 

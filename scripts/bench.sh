@@ -3,6 +3,10 @@
 # BENCH_lp.json at the repo root. The x-speedup metrics are quotients
 # (old path time / new path time) reported by the benchmarks
 # themselves; the acceptance floor for T1LongWindowN40/HotPath is 2.0.
+# BenchmarkServedLadder (calib.SolveRobust over the served corpus)
+# records its ns/op, B/op, allocs/op and its deterministic pivots/op
+# and nodes/op in a served_ladder block, beside the B/op ceiling that
+# scripts/benchgate.sh enforces.
 # A telemetry block from one instrumented parallel solve on the
 # production LP path (isegen clustered -> isesolve -par 4 -metrics-out)
 # rides along so the report also captures what the solver *did*:
@@ -24,7 +28,7 @@ trap 'rm -f "$RAW" "$MET" "$INST"' EXIT
 
 # No pipe into tee: a pipeline would mask go test's exit status under
 # plain sh and a failed run would clobber the previous numbers.
-go test -run XXX -bench 'BenchmarkT1LongWindowN40|BenchmarkT8Scaling' \
+go test -run XXX -bench 'BenchmarkT1LongWindowN40|BenchmarkT8Scaling|BenchmarkServedLadder' \
 	-benchtime "$BENCHTIME" . >"$RAW" 2>&1 || {
 	cat "$RAW"
 	echo "bench run failed; $OUT left untouched" >&2
@@ -43,16 +47,22 @@ go run ./cmd/isesolve -par 4 -metrics-out "$MET" "$INST" >/dev/null || {
 # jnum guards every interpolated number: a missing benchmark or metric
 # becomes JSON null instead of an empty field (the bare ternary used
 # before also swallowed legitimate zeros).
+# A sub-benchmark is keyed by its last name component (Seed, HotPath,
+# ...), a top-level one by its full name.
 awk -v stamp="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v gover="$(go env GOVERSION)" '
 function jnum(v) { return v == "" ? "null" : v }
 function val(i) { return $(i - 1) }
 FNR == NR && /^Benchmark/ {
-	split($1, parts, "/")
-	name = parts[2]
+	name = $1
 	sub(/-[0-9]+$/, "", name)
+	sub(/.*\//, "", name)
 	for (i = 2; i <= NF; i++) {
 		if ($i == "ns/op" && val(i) + 0 > 0) ns[name] = val(i)
 		if ($i == "x-speedup") speedup[name] = val(i)
+		if ($i == "B/op") bytes[name] = val(i)
+		if ($i == "allocs/op") allocs[name] = val(i)
+		if ($i == "pivots/op") pivots[name] = val(i)
+		if ($i == "nodes/op") nodes[name] = val(i)
 	}
 	next
 }
@@ -74,6 +84,15 @@ END {
 	printf "  },\n"
 	printf "  \"t8_scaling\": {\n"
 	printf "    \"decomposed_vs_monolithic\": %s\n", jnum(speedup["DecomposedVsMonolithic"])
+	printf "  },\n"
+	sl = "BenchmarkServedLadder"
+	printf "  \"served_ladder\": {\n"
+	printf "    \"ns_per_op\": %s,\n", jnum(ns[sl])
+	printf "    \"bytes_per_op\": %s,\n", jnum(bytes[sl])
+	printf "    \"allocs_per_op\": %s,\n", jnum(allocs[sl])
+	printf "    \"pivots_per_op\": %s,\n", jnum(pivots[sl])
+	printf "    \"nodes_per_op\": %s,\n", jnum(nodes[sl])
+	printf "    \"bytes_ceiling\": 64000000\n"
 	printf "  },\n"
 	printf "  \"telemetry\": {\n"
 	printf "    \"lp_pivots\": %s,\n", jnum(metric["lp_pivots_total"])

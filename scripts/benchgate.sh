@@ -15,10 +15,14 @@
 #
 # Part 2 (absolute): runs the service hot-path benchmarks
 # (BenchmarkServiceSolve, BenchmarkServiceCacheHit) on the working
-# tree only and fails if allocs/op exceeds a fixed ceiling. The
-# allocation-free hot path is pinned in absolute terms because a
-# relative gate would let the ceiling ratchet upward through a series
-# of sub-threshold regressions.
+# tree only and fails if allocs/op exceeds a fixed ceiling, and fails
+# if part 1's head runs of BenchmarkServedLadder allocate more B/op
+# than a fixed ceiling. The allocation-free hot path and the LP's
+# memory are pinned in absolute terms because a relative gate would
+# let the ceiling ratchet upward through a series of sub-threshold
+# regressions. Nothing on the served path is pooled, so the ladder's
+# B/op is the same on every run: a tableau that grows back to storing
+# every column fails this gate every time, not by chance.
 #
 # benchstat, when installed, prints its statistical report for the
 # humans reading the log; the pass/fail decision itself is a pure-awk
@@ -79,6 +83,7 @@ cat "$BASE_OUT"
 
 REL_FAIL=0
 SVC_FAIL=0
+MEM_FAIL=0
 
 if command -v benchstat >/dev/null 2>&1; then
 	echo "benchgate: benchstat report (informational)"
@@ -201,7 +206,37 @@ function gate(name, max,    mean, status) {
 	return status == "ok" ? 0 : 1
 }' "$SVC_OUT" || SVC_FAIL=1
 
-# Both gates always run, so one failing cannot hide the other's report.
-if [ "$REL_FAIL" -ne 0 ] || [ "$SVC_FAIL" -ne 0 ]; then
+# --- absolute memory ceiling on the served ladder -------------------
+# Read from part 1's head runs: BenchmarkServedLadder reports B/op
+# (the benchmark turns ReportAllocs on). Head-only, like the service
+# ceilings. scripts/bench.sh records the same ceiling in BENCH_lp.json.
+LADDER_BYTES_MAX=64000000
+echo "benchgate: served-ladder memory ceiling (<= $LADDER_BYTES_MAX B/op)"
+awk -v max="$LADDER_BYTES_MAX" '
+/^Benchmark/ {
+	name = $1
+	sub(/-[0-9]+$/, "", name)
+	if (name != "BenchmarkServedLadder") next
+	for (i = 2; i <= NF; i++) {
+		if ($i == "B/op") { sum += $(i - 1); n++ }
+	}
+}
+END {
+	if (n == 0) {
+		print "benchgate: BenchmarkServedLadder: no B/op reported" > "/dev/stderr"
+		exit 1
+	}
+	mean = sum / n
+	status = "ok"
+	if (mean > max) status = "OVER CEILING"
+	printf "benchgate: %-55s %12.0f B/op  (ceiling %s)  %s\n", "BenchmarkServedLadder", mean, max, status
+	if (status != "ok") {
+		print "benchgate: FAIL — served-ladder memory ceiling exceeded" > "/dev/stderr"
+		exit 1
+	}
+}' "$HEAD_OUT" || MEM_FAIL=1
+
+# Every gate always runs, so one failing cannot hide another's report.
+if [ "$REL_FAIL" -ne 0 ] || [ "$SVC_FAIL" -ne 0 ] || [ "$MEM_FAIL" -ne 0 ]; then
 	exit 1
 fi
