@@ -135,6 +135,13 @@ func decodeTableau(next func() int) (t *tableau, stride int) {
 	return t, stride
 }
 
+// newIndex gives a hand-built tableau an empty nonzero index of its
+// own.
+func (t *tableau) newIndex() {
+	_, _, words := indexWords(t.m, t.w)
+	t.setIndex(make([]uint64, words))
+}
+
 // indexed reports whether cell (i, j)'s row and column bits are set.
 func (t *tableau) indexed(i, j int) bool {
 	return t.rowBits(i)[j>>6]&(1<<(j&63)) != 0 && t.colBits(j)[i>>6]&(1<<(i&63)) != 0
@@ -313,5 +320,54 @@ func TestPurgePicksLowestVariable(t *testing.T) {
 	if tb.basis[0] != 1 || tb.varOf[2] != 3 || tb.slotOf[1] != -1 || tb.slotOf[3] != 2 {
 		t.Fatalf("after purge: basis %v varOf %v slotOf %v, want variable 1 basic and the artificial in its slot 2",
 			tb.basis, tb.varOf, tb.slotOf)
+	}
+}
+
+// pricingTableau is a one-row tableau whose four slots hold variables
+// 2, 0, 3 and 1, variable 3 artificial, with the given reduced costs.
+func pricingTableau(costs ...float64) *tableau {
+	return &tableau{
+		m:      1,
+		n:      5,
+		w:      4,
+		a:      append(make([]float64, 5), append(costs, 0)...),
+		basis:  []int{4},
+		varOf:  []int{2, 0, 3, 1},
+		slotOf: []int{1, 3, 0, 2, -1},
+		artLo:  3,
+	}
+}
+
+// TestDantzigPicksLowestVariable pins Dantzig pricing's tie-break to
+// the lowest variable index, as the full tableau's scan of its columns
+// in index order chose, when the slots hold the variables out of
+// order; and keeps artificials out of phase 2 and a reduced cost of
+// exactly -epsReduced out of both phases.
+func TestDantzigPicksLowestVariable(t *testing.T) {
+	tb := pricingTableau(-2, 0, -5, -2)
+	if s := tb.dantzigEnter(tb.n); s != 2 {
+		t.Errorf("phase 1: slot %d entered, want slot 2 (variable 3, reduced cost -5)", s)
+	}
+	if s := tb.dantzigEnter(tb.artLo); s != 3 {
+		t.Errorf("phase 2: slot %d entered, want slot 3 (variable 1, tied at -2 with variable 2 in slot 0)", s)
+	}
+	if s := pricingTableau(-epsReduced, 1, 0, 0).dantzigEnter(5); s != -1 {
+		t.Errorf("slot %d entered on a reduced cost of exactly -epsReduced, want none", s)
+	}
+}
+
+// TestBlandPicksLowestVariable pins Bland's rule to the lowest
+// variable index with a negative reduced cost, whatever its slot and
+// however small its reduced cost.
+func TestBlandPicksLowestVariable(t *testing.T) {
+	tb := pricingTableau(-5, 1, -7, -1)
+	if s := tb.blandEnter(tb.artLo); s != 3 {
+		t.Errorf("phase 2: slot %d entered, want slot 3 (variable 1)", s)
+	}
+	if s := tb.blandEnter(tb.n); s != 3 {
+		t.Errorf("phase 1: slot %d entered, want slot 3 (variable 1)", s)
+	}
+	if s := pricingTableau(1, 1, -7, 0).blandEnter(3); s != -1 {
+		t.Errorf("phase 2: slot %d entered with only an artificial priced negative, want none", s)
 	}
 }

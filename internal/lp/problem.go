@@ -83,7 +83,8 @@ type Problem struct {
 func NewProblem() *Problem { return &Problem{} }
 
 // AddVar adds a nonnegative variable with the given objective
-// coefficient and returns its index.
+// coefficient and returns its index. The name is read only by String;
+// it may be empty.
 func (p *Problem) AddVar(name string, objCoeff float64) int {
 	p.obj = append(p.obj, objCoeff)
 	p.names = append(p.names, name)
@@ -110,9 +111,6 @@ func (p *Problem) AddConstraint(rel Rel, rhs float64, terms ...Term) {
 	p.rows = append(p.rows, row{terms: own, rel: rel, rhs: rhs})
 }
 
-// Name returns the name of variable v.
-func (p *Problem) Name(v int) string { return p.names[v] }
-
 // Obj returns the objective coefficient of variable v.
 func (p *Problem) Obj(v int) float64 { return p.obj[v] }
 
@@ -131,13 +129,14 @@ func (p *Problem) Copy() *Problem {
 	return out
 }
 
-// String renders the problem in a compact algebraic form for debugging.
+// String renders the problem in a compact algebraic form for
+// debugging; a variable added without a name prints as x<index>.
 func (p *Problem) String() string {
 	var b strings.Builder
 	b.WriteString("min")
 	for v, c := range p.obj {
 		if c != 0 {
-			fmt.Fprintf(&b, " %+g*%s", c, p.names[v])
+			fmt.Fprintf(&b, " %+g*%s", c, p.name(v))
 		}
 	}
 	b.WriteString("\n")
@@ -147,11 +146,19 @@ func (p *Problem) String() string {
 			if i > 0 {
 				b.WriteString(" ")
 			}
-			fmt.Fprintf(&b, "%+g*%s", t.Coeff, p.names[t.Var])
+			fmt.Fprintf(&b, "%+g*%s", t.Coeff, p.name(t.Var))
 		}
 		fmt.Fprintf(&b, " %s %g\n", r.rel, r.rhs)
 	}
 	return b.String()
+}
+
+// name is variable v's name for String, x<v> if it has none.
+func (p *Problem) name(v int) string {
+	if p.names[v] == "" {
+		return fmt.Sprintf("x%d", v)
+	}
+	return p.names[v]
 }
 
 // Status reports the outcome of an LP solve.

@@ -44,7 +44,9 @@ type tableau struct {
 	// column's unit sign and any rhs-normalization flip.
 	dualCol  []int
 	dualMult []float64
-	// Elimination scratch, allocated once per solve: the pivot row's
+	// cost holds each phase's per-variable costs for installCost.
+	cost []float64
+	// Elimination scratch, carved once per solve: the pivot row's
 	// nonzero columns (capacity w+1) and the pivot column's nonzero
 	// rows, cost row included (capacity m+1).
 	cols, rows []int
@@ -68,11 +70,18 @@ func (t *tableau) rhs(i int) float64       { return t.at(i, t.w) }
 func (t *tableau) rowBits(i int) []uint64 { return t.rowNZ[i*t.rw : (i+1)*t.rw] }
 func (t *tableau) colBits(j int) []uint64 { return t.colNZ[j*t.cw : (j+1)*t.cw] }
 
-// newIndex allocates an empty nonzero index for the tableau's shape.
-func (t *tableau) newIndex() {
-	t.rw, t.cw = (t.w+64)/64, (t.m+64)/64
-	nz := make([]uint64, (t.m+1)*t.rw+(t.w+1)*t.cw)
-	t.rowNZ, t.colNZ = nz[:(t.m+1)*t.rw], nz[(t.m+1)*t.rw:]
+// indexWords returns the words per row and per column of the nonzero
+// index of an m-row, w-slot tableau, and the index's total words.
+func indexWords(m, w int) (rw, cw, words int) {
+	rw, cw = (w+64)/64, (m+64)/64
+	return rw, cw, (m+1)*rw + (w+1)*cw
+}
+
+// setIndex makes nz, which must be bit-zero, the tableau's empty
+// nonzero index.
+func (t *tableau) setIndex(nz []uint64) {
+	t.rw, t.cw, _ = indexWords(t.m, t.w)
+	t.rowNZ, t.colNZ = nz[:(t.m+1)*t.rw:(t.m+1)*t.rw], nz[(t.m+1)*t.rw:]
 }
 
 // mark records cell (i, j) in the nonzero index.
@@ -92,22 +101,36 @@ func Solve(p *Problem) (*Solution, error) {
 // elimination, so the per-pivot atomic check is noise) and, with zero
 // work, every buildCheckRows rows while the tableau is built. On abort
 // the Solution carries Status Aborted and the check's error is
-// returned. Each call allocates one condensed tableau of
-// (m+1)×(n−m+1) float64s, m rows and n variables counting slacks and
-// artificials, and keeps nothing once it returns.
+// returned. Each call builds one condensed tableau of (m+1)×(n−m+1)
+// float64s, m rows and n variables counting slacks and artificials,
+// in an arena from a free list that all calls share, and gives the
+// arena back on every return path, so the next call reuses its memory.
+// The free list holds at most GOMAXPROCS arenas of at most
+// maxPooledBytes each and is dropped once no call has been in flight
+// for idleGrace. The returned Solution shares no memory with the
+// arena.
 func SolveChecked(p *Problem, check CheckFunc) (*Solution, error) {
-	t, hasArt, err := build(p, check)
+	f := formOf(p)
+	a := arenas.get(f.span())
+	defer arenas.put(a)
+	return solve(p, f, a, check)
+}
+
+// solve runs both phases on a tableau built in a, which must be
+// bit-zero over f's span.
+func solve(p *Problem, f form, a *arena, check CheckFunc) (*Solution, error) {
+	t, err := build(p, f, a, check)
 	if err != nil {
 		return &Solution{Status: Aborted}, err
 	}
 	sol := &Solution{}
-	if hasArt {
-		// Phase 1: minimize the sum of artificials.
-		cost := make([]float64, t.n)
+	if f.nArt > 0 {
+		// Phase 1: minimize the sum of artificials. The cost vector
+		// starts bit-zero.
 		for j := t.artLo; j < t.n; j++ {
-			cost[j] = 1
+			t.cost[j] = 1
 		}
-		t.installCost(cost)
+		t.installCost(t.cost)
 		st, iters, err := t.iterate(true, check)
 		sol.Iterations += iters
 		if err != nil {
@@ -127,9 +150,9 @@ func SolveChecked(p *Problem, check CheckFunc) (*Solution, error) {
 		t.purgeArtificials()
 	}
 	// Phase 2: minimize the real objective.
-	cost := make([]float64, t.n)
-	copy(cost, p.obj)
-	t.installCost(cost)
+	clear(t.cost)
+	copy(t.cost, p.obj)
+	t.installCost(t.cost)
 	st, iters, err := t.iterate(false, check)
 	sol.Iterations += iters
 	sol.Status = st
@@ -164,50 +187,83 @@ func SolveChecked(p *Problem, check CheckFunc) (*Solution, error) {
 	return sol, nil
 }
 
+// form is the shape of p's standard form: m rows over nvar structural
+// variables, nSlack slacks and surpluses, and nArt artificials (one
+// slack per <=, one surplus per >=, one artificial per >= and =, after
+// the rhs is normalized to be nonnegative).
+type form struct{ m, nvar, nSlack, nArt int }
+
+func formOf(p *Problem) form {
+	f := form{m: p.NumRows(), nvar: p.NumVars()}
+	for _, r := range p.rows {
+		switch normalizedRel(r) {
+		case LE:
+			f.nSlack++
+		case GE:
+			f.nSlack++ // surplus
+			f.nArt++
+		case EQ:
+			f.nArt++
+		}
+	}
+	return f
+}
+
+// span is what the form's tableau takes of an arena: its (m+1)×(w+1)
+// cells, cost vector and dual multipliers; its nonzero index; and its
+// basis, dual columns, slot maps and elimination scratch.
+func (f form) span() span {
+	n := f.nvar + f.nSlack + f.nArt
+	w := n - f.m
+	_, _, words := indexWords(f.m, w)
+	return span{
+		f: (f.m+1)*(w+1) + n + f.m,
+		u: words,
+		i: 2*f.m + w + n + (w + 1) + (f.m + 1),
+	}
+}
+
+// carve cuts the next k elements off *s, capped at k.
+func carve[T any](s *[]T, k int) []T {
+	out := (*s)[:k:k]
+	*s = (*s)[k:]
+	return out
+}
+
 // buildCheckRows is build's check cadence in rows: the largest
 // relaxations the pipeline builds take long enough before the first
 // pivot's check that a cancel landing there would overrun its latency
 // bound (TestCancelConformance), so build polls too.
 const buildCheckRows = 64
 
-// build converts p into a tableau in standard form: rhs normalized to
-// be nonnegative, one slack per <=, one surplus per >=, one artificial
-// per >= and =. The starting basis is each <= row's slack and each
-// other row's artificial; the slots hold the structural variables and
-// the surpluses in increasing variable index. Returns the tableau and
-// whether artificials exist, or the error of a check that stopped the
+// build converts p, whose standard form is f, into a tableau carved
+// from a, which must be bit-zero over f's span. The starting basis is
+// each <= row's slack and each other row's artificial; the slots hold
+// the structural variables and the surpluses in increasing variable
+// index. Returns the tableau, or the error of a check that stopped the
 // build.
-func build(p *Problem, check CheckFunc) (*tableau, bool, error) {
-	m, nvar := p.NumRows(), p.NumVars()
-	nSlack, nArt := 0, 0
-	for _, r := range p.rows {
-		switch normalizedRel(r) {
-		case LE:
-			nSlack++
-		case GE:
-			nSlack++ // surplus
-			nArt++
-		case EQ:
-			nArt++
-		}
-	}
-	n := nvar + nSlack + nArt
+func build(p *Problem, f form, a *arena, check CheckFunc) (*tableau, error) {
+	m, nvar := f.m, f.nvar
+	n := nvar + f.nSlack + f.nArt
 	w := n - m
+	fs, us, is := a.f, a.u, a.i
 	t := &tableau{
-		m:      m,
-		n:      n,
-		w:      w,
-		a:      make([]float64, (m+1)*(w+1)),
-		basis:  make([]int, m),
-		varOf:  make([]int, w),
-		slotOf: make([]int, n),
-		artLo:  nvar + nSlack,
+		m:        m,
+		n:        n,
+		w:        w,
+		a:        carve(&fs, (m+1)*(w+1)),
+		cost:     carve(&fs, n),
+		dualMult: carve(&fs, m),
+		basis:    carve(&is, m),
+		dualCol:  carve(&is, m),
+		varOf:    carve(&is, w),
+		slotOf:   carve(&is, n),
+		cols:     carve(&is, w+1)[:0],
+		rows:     carve(&is, m+1)[:0],
+		artLo:    nvar + f.nSlack,
 	}
-	t.dualCol = make([]int, m)
-	t.dualMult = make([]float64, m)
-	t.cols = make([]int, 0, w+1)
-	t.rows = make([]int, 0, m+1)
-	t.newIndex()
+	_, _, words := indexWords(m, w)
+	t.setIndex(carve(&us, words))
 	for v := range t.slotOf {
 		t.slotOf[v] = -1
 	}
@@ -223,7 +279,7 @@ func build(p *Problem, check CheckFunc) (*tableau, bool, error) {
 	for i, r := range p.rows {
 		if check != nil && i%buildCheckRows == 0 {
 			if err := check(0); err != nil {
-				return nil, false, err
+				return nil, err
 			}
 		}
 		sign := 1.0
@@ -257,7 +313,7 @@ func build(p *Problem, check CheckFunc) (*tableau, bool, error) {
 			art++
 		}
 	}
-	return t, nArt > 0, nil
+	return t, nil
 }
 
 // normalizedRel returns the relation of r after multiplying through by
@@ -328,29 +384,11 @@ func (t *tableau) iterate(phase1 bool, check CheckFunc) (Status, int, error) {
 				return Aborted, iter, err
 			}
 		}
-		crow := t.row(t.m)[:t.w]
-		// Entering slot and its variable.
-		enter, ev := -1, -1
+		var enter int
 		if bland {
-			for s, d := range crow {
-				if d < -epsReduced {
-					if v := t.varOf[s]; v < hi && (ev < 0 || v < ev) {
-						enter, ev = s, v
-					}
-				}
-			}
+			enter = t.blandEnter(hi)
 		} else {
-			// The variable is loaded only for a candidate at least as
-			// good as the best so far; ev = -1 keeps a reduced cost of
-			// exactly -epsReduced out, as the strict < did.
-			best := -epsReduced
-			for s, d := range crow {
-				if d <= best {
-					if v := t.varOf[s]; v < hi && (d < best || v < ev) {
-						best, enter, ev = d, s, v
-					}
-				}
-			}
+			enter = t.dantzigEnter(hi)
 		}
 		if enter < 0 {
 			return Optimal, iter, nil
@@ -405,6 +443,41 @@ func (t *tableau) iterate(phase1 bool, check CheckFunc) (Status, int, error) {
 		}
 	}
 	return IterLimit, maxIters, nil
+}
+
+// dantzigEnter returns the slot of the entering variable under
+// Dantzig's rule, or -1 if none qualifies: among the variables below
+// hi, the one with the most negative reduced cost below -epsReduced,
+// ties going to the lowest variable index.
+func (t *tableau) dantzigEnter(hi int) int {
+	// The variable is loaded only for a candidate at least as good as
+	// the best so far; ev = -1 keeps a reduced cost of exactly
+	// -epsReduced out, as a strict < would.
+	enter, ev := -1, -1
+	best := -epsReduced
+	for s, d := range t.row(t.m)[:t.w] {
+		if d <= best {
+			if v := t.varOf[s]; v < hi && (d < best || v < ev) {
+				best, enter, ev = d, s, v
+			}
+		}
+	}
+	return enter
+}
+
+// blandEnter returns the slot of the entering variable under Bland's
+// rule, or -1 if none qualifies: the lowest-index variable below hi
+// whose reduced cost is below -epsReduced.
+func (t *tableau) blandEnter(hi int) int {
+	enter, ev := -1, -1
+	for s, d := range t.row(t.m)[:t.w] {
+		if d < -epsReduced {
+			if v := t.varOf[s]; v < hi && (ev < 0 || v < ev) {
+				enter, ev = s, v
+			}
+		}
+	}
+	return enter
 }
 
 // pivot performs Gauss-Jordan elimination on (r, s): the variable in

@@ -231,13 +231,16 @@ func TestRandomAgainstRational(t *testing.T) {
 	}
 }
 
+// TestProblemString renders a named and an unnamed variable; the
+// unnamed one prints as x<index>.
 func TestProblemString(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar("x", 2)
-	p.AddConstraint(LE, 4, Term{x, 1})
-	s := p.String()
-	if s == "" {
-		t.Error("empty String()")
+	y := p.AddVar("", -1)
+	p.AddConstraint(LE, 4, Term{x, 1}, Term{y, 3})
+	want := "min +2*x -1*x1\n  +1*x +3*x1 <= 4\n"
+	if s := p.String(); s != want {
+		t.Errorf("String() = %q, want %q", s, want)
 	}
 }
 

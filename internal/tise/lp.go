@@ -89,7 +89,9 @@ func (e *NumericalError) Error() string {
 // over the given calibration points (constraints (1)-(6) of the
 // paper). It returns the problem plus the variable index maps: cVar[i]
 // is the variable of C_{points[i]}, and xVar[j][i] is the variable of
-// X_{j,points[i]} or -1 for TISE-infeasible pairs.
+// X_{j,points[i]} or -1 for TISE-infeasible pairs. The variables are
+// unnamed (Problem.String prints x<index>): a formatted name per
+// variable cost one allocation each on every served LP.
 //
 // Constraint (2), X_jt <= C_t, contributes one row per feasible
 // (job, point) pair — by far the largest row family — and every one
@@ -97,8 +99,8 @@ func (e *NumericalError) Error() string {
 func BuildLP(inst *ise.Instance, mPrime int, points []ise.Time) (p *lp.Problem, cVar []int, xVar [][]int) {
 	p = lp.NewProblem()
 	cVar = make([]int, len(points))
-	for i, t := range points {
-		cVar[i] = p.AddVar(fmt.Sprintf("C[%d]", t), 1)
+	for i := range points {
+		cVar[i] = p.AddVar("", 1)
 	}
 	xVar = make([][]int, inst.N())
 	for j := range inst.Jobs {
@@ -112,7 +114,7 @@ func BuildLP(inst *ise.Instance, mPrime int, points []ise.Time) (p *lp.Problem, 
 	for jIdx, j := range inst.Jobs {
 		for i, t := range points {
 			if Feasible(inst.T, j, t) {
-				xVar[jIdx][i] = p.AddVar(fmt.Sprintf("X[%d,%d]", jIdx, t), 0)
+				xVar[jIdx][i] = p.AddVar("", 0)
 			}
 		}
 	}

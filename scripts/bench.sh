@@ -92,7 +92,7 @@ END {
 	printf "    \"allocs_per_op\": %s,\n", jnum(allocs[sl])
 	printf "    \"pivots_per_op\": %s,\n", jnum(pivots[sl])
 	printf "    \"nodes_per_op\": %s,\n", jnum(nodes[sl])
-	printf "    \"bytes_ceiling\": 64000000\n"
+	printf "    \"bytes_ceiling\": 24000000\n"
 	printf "  },\n"
 	printf "  \"telemetry\": {\n"
 	printf "    \"lp_pivots\": %s,\n", jnum(metric["lp_pivots_total"])
