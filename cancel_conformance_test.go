@@ -7,7 +7,7 @@ package calib_test
 // rows of the float64 tableau's build and every pivot for the
 // float64/rational engines, every 512 nodes for the searches) are
 // sized so this bound holds comfortably under -race: over 20 -race
-// runs on a 2-vCPU Xeon VM the slowest case returned 16ms after its
+// runs on a 2-vCPU Xeon VM the slowest case returned 13ms after its
 // cancel.
 
 import (
@@ -33,10 +33,10 @@ const cancelLatencyBound = 100 * time.Millisecond
 
 // cancelAfter is how long each case runs before it is canceled. It is
 // at most a third of the fastest case's uncanceled time (SolveRobust on
-// hardLong, 37-61ms over 14 runs on a 2-vCPU Xeon VM without -race,
-// and 0.57-0.74s with it), so every case is still mid-solve when the
-// cancel lands, also on a machine a few times faster.
-const cancelAfter = 12 * time.Millisecond
+// hardLong, 34-68ms over 42 runs on a 2-vCPU Xeon VM without -race,
+// and 0.53-0.80s over 14 with it), so every case is still mid-solve
+// when the cancel lands, also on a machine a few times faster.
+const cancelAfter = 11 * time.Millisecond
 
 // hardInstances builds instances big enough that each solver is still
 // mid-search when the cancel lands.

@@ -44,9 +44,9 @@ const (
 	// times the largest tableau a served request builds (6–9 MiB for an
 	// n = 40 `long` component), so every served LP reuses memory, while
 	// one rare huge LP does not stay pinned after it returns. A larger
-	// LP allocates its own arena and drops it. The per-solve memory cap
-	// of ROADMAP item 2 belongs where span is computed, before anything
-	// is allocated.
+	// LP allocates its own arena and drops it. A per-solve memory cap
+	// would check the span against its limit at the same point, before
+	// anything is allocated.
 	maxPooledBytes = 64 << 20
 	// idleGrace is how long the free list outlives the last solve that
 	// ended. A busy server spends part of every request outside the LP
@@ -59,9 +59,9 @@ const (
 )
 
 // freeList holds the arenas of finished solves while the solver is
-// busy. It keeps at most GOMAXPROCS arenas, the largest ones: no more
-// LPs than that run at once, so more would sit unused. Once no solve
-// has held an arena for idleGrace it drops them all.
+// busy. It keeps at most GOMAXPROCS arenas, the largest ones: at most
+// that many LPs run at any instant, so more would sit unused. Once no
+// solve has held an arena for idleGrace it drops them all.
 type freeList struct {
 	mu     sync.Mutex
 	free   []*arena

@@ -196,6 +196,9 @@ func TestArenaReuse(t *testing.T) {
 func TestArenaBounds(t *testing.T) {
 	resetArenas()
 	procs := runtime.GOMAXPROCS(0)
+	// A solve held open until the end keeps the idle timer from
+	// dropping the list before then.
+	hold := arenas.get(span{})
 	held := make([]*arena, procs+2)
 	for k := range held {
 		held[k] = arenas.get(span{f: 100 * (k + 1), u: 1, i: 1})
@@ -251,13 +254,11 @@ func TestArenaBounds(t *testing.T) {
 	}
 
 	// Kept while a solve is in flight, dropped once none is.
-	busy := arenas.get(span{f: 1})
-	arenas.put(arenas.get(span{f: 2}))
 	time.Sleep(3 * idleGrace)
 	if len(freeArenas()) == 0 {
 		t.Fatal("free list dropped while a solve was in flight")
 	}
-	arenas.put(busy)
+	arenas.put(hold)
 	deadline := time.Now().Add(5 * time.Second)
 	for len(freeArenas()) > 0 {
 		if time.Now().After(deadline) {

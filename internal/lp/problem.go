@@ -10,7 +10,11 @@
 //     nonbasic variables' columns, (m+1)×(n−m+1) cells for m rows and
 //     n variables counting slacks and artificials, since a basic
 //     column is the unit vector of its row. It answers bit for bit as
-//     the full tableau would (see tableau);
+//     the full tableau would (see tableau). Its memory comes from a
+//     free list of arenas that all solves share (see freeList): a
+//     solve reuses the cells and index words of an earlier one instead
+//     of allocating and zeroing new ones, and the list is dropped once
+//     no solve has been in flight for a short grace period;
 //   - SolveRational: an exact simplex over math/big.Rat used to
 //     cross-check the float engine on small problems (experiment T6).
 //

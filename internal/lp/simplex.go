@@ -77,11 +77,12 @@ func indexWords(m, w int) (rw, cw, words int) {
 	return rw, cw, (m+1)*rw + (w+1)*cw
 }
 
-// setIndex makes nz, which must be bit-zero, the tableau's empty
-// nonzero index.
+// setIndex makes the front of nz, which must be bit-zero there, the
+// tableau's empty nonzero index.
 func (t *tableau) setIndex(nz []uint64) {
-	t.rw, t.cw, _ = indexWords(t.m, t.w)
-	t.rowNZ, t.colNZ = nz[:(t.m+1)*t.rw:(t.m+1)*t.rw], nz[(t.m+1)*t.rw:]
+	var words int
+	t.rw, t.cw, words = indexWords(t.m, t.w)
+	t.rowNZ, t.colNZ = nz[:(t.m+1)*t.rw:(t.m+1)*t.rw], nz[(t.m+1)*t.rw:words:words]
 }
 
 // mark records cell (i, j) in the nonzero index.
@@ -246,7 +247,7 @@ func build(p *Problem, f form, a *arena, check CheckFunc) (*tableau, error) {
 	m, nvar := f.m, f.nvar
 	n := nvar + f.nSlack + f.nArt
 	w := n - m
-	fs, us, is := a.f, a.u, a.i
+	fs, is := a.f, a.i
 	t := &tableau{
 		m:        m,
 		n:        n,
@@ -262,8 +263,7 @@ func build(p *Problem, f form, a *arena, check CheckFunc) (*tableau, error) {
 		rows:     carve(&is, m+1)[:0],
 		artLo:    nvar + f.nSlack,
 	}
-	_, _, words := indexWords(m, w)
-	t.setIndex(carve(&us, words))
+	t.setIndex(a.u)
 	for v := range t.slotOf {
 		t.slotOf[v] = -1
 	}
