@@ -15,6 +15,7 @@ import (
 
 	"calib"
 	"calib/internal/core"
+	"calib/internal/exact"
 	"calib/internal/exp"
 	"calib/internal/lp"
 	"calib/internal/obs"
@@ -110,6 +111,51 @@ func BenchmarkServedLadder(b *testing.B) {
 	}
 	b.ReportMetric(float64(met.Counter(obs.MLPPivots).Value())/float64(b.N), "pivots/op")
 	b.ReportMetric(float64(met.Counter(obs.MExactNodes).Value())/float64(b.N), "nodes/op")
+}
+
+// exactTail holds components that the exact rung's search spent
+// 100 000+ nodes on under the plain work-volume bound, as (r, d, p)
+// triples in ID order at T = 10, m = 2: fixtures A and B of
+// internal/exact's tests, three components (clustered, short, poisson)
+// of its pinned corpus, and the clustered component that corpus leaves
+// out. B and the last one hit the ladder's 500 000-node cap under that
+// bound.
+var exactTail = [][][3]calib.Time{
+	{{0, 27, 4}, {6, 16, 2}, {7, 27, 1}, {9, 20, 1}, {10, 19, 2}, {10, 21, 4}, {15, 35, 1}, {17, 23, 4}, {18, 22, 1}, {19, 21, 1}, {39, 49, 3}, {41, 61, 4}},
+	{{0, 36, 7}, {7, 14, 5}, {8, 29, 1}, {11, 27, 1}, {14, 51, 7}, {19, 40, 5}, {25, 45, 1}, {36, 56, 1}, {41, 79, 6}, {46, 66, 1}, {47, 69, 6}, {53, 55, 1}},
+	{{0, 26, 7}, {2, 29, 1}, {7, 29, 2}, {9, 35, 3}, {16, 36, 1}, {19, 39, 1}, {19, 39, 2}, {22, 36, 4}, {44, 47, 2}, {44, 52, 5}},
+	{{0, 13, 3}, {2, 18, 1}, {6, 12, 3}, {6, 22, 3}, {7, 20, 4}, {11, 20, 1}, {13, 28, 3}, {14, 24, 1}, {15, 22, 2}, {29, 40, 3}, {32, 47, 4}},
+	{{40, 50, 10}, {51, 70, 3}, {58, 93, 1}, {69, 88, 5}, {73, 109, 9}, {83, 109, 7}, {90, 118, 9}, {90, 135, 7}, {92, 102, 1}, {99, 133, 7}, {106, 124, 2}, {108, 152, 5}},
+	{{70, 103, 4}, {74, 99, 1}, {77, 97, 1}, {79, 104, 2}, {82, 102, 4}, {84, 102, 1}, {86, 106, 1}, {99, 120, 4}, {103, 107, 3}, {114, 122, 3}, {114, 139, 1}, {116, 125, 3}},
+}
+
+// BenchmarkExactTail times the exact rung's search, with the ladder's
+// options, on exactTail: the heavy tail that BenchmarkServedLadder's
+// corpus never reaches. One op solves every component; nodes/op is
+// deterministic and moves only when the search's pruning does.
+func BenchmarkExactTail(b *testing.B) {
+	var insts []*calib.Instance
+	for _, jobs := range exactTail {
+		inst := calib.NewInstance(10, 2)
+		for _, j := range jobs {
+			inst.AddJob(j[0], j[1], j[2])
+		}
+		insts = append(insts, inst)
+	}
+	opts := exact.Options{MaxNodes: 500_000, WarmStart: true}
+	nodes := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, inst := range insts {
+			res, err := exact.Solve(inst, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			nodes += res.Nodes
+		}
+	}
+	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 }
 
 func BenchmarkT2SpeedTrade(b *testing.B) {

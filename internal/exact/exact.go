@@ -14,14 +14,19 @@
 // calibration allow) is feasible iff any placement is, so feasibility
 // of a structure is decided greedily in linear time. The solver
 // enumerates structures by inserting jobs one at a time (in deadline
-// order) at every possible position, with branch-and-bound on the
-// calibration count and monotone infeasibility pruning.
+// order) at every possible position, with monotone infeasibility
+// pruning and branch-and-bound on the calibration count: a node is cut
+// when the calibrations it has opened, plus those its remaining work
+// still needs beyond the free capacity of the groups that a remaining
+// job can still join, reach the incumbent's (see openRoom).
 //
 // An insertion only delays starts, so a candidate is checked
 // incrementally against the machine's placement at node entry: from
 // the changed or new group onward, and only until a later group keeps
 // its old start, after which the rest of the machine is unchanged and
-// still feasible. The work bound is O(1) per node.
+// still feasible. The bound costs O(1) per node when the remaining
+// work alone cannot reach the incumbent, and otherwise one pass over
+// the placed jobs.
 package exact
 
 import (
@@ -89,8 +94,12 @@ type machine struct {
 }
 
 // noStart is the previous calibration start a machine's first group
-// sees: far enough in the past that it never binds.
-const noStart = ise.Time(-1 << 62)
+// sees: far enough in the past that it never binds. noLimit is its
+// mirror, a bound on a start or an end that never binds.
+const (
+	noStart = ise.Time(-1 << 62)
+	noLimit = -noStart
+)
 
 // level is one search depth's scratch. Depth d inserts the (d+1)-th
 // job, so at most d groups of at most d jobs exist and no slice needs
@@ -102,10 +111,18 @@ type level struct {
 	start  []ise.Time // each group's start there, at node entry
 }
 
+// rest summarizes the jobs still to insert at one depth, order[d:].
+type rest struct {
+	work   ise.Time // their total processing time, W_R
+	minP   ise.Time // their smallest p_j
+	minEnd ise.Time // their smallest r_j + p_j
+}
+
 type searcher struct {
 	inst     *ise.Instance
-	work     ise.Time // the instance's total work
-	order    []int    // job IDs in insertion (deadline) order
+	warm     *ise.Schedule // the warm-start incumbent, if any
+	order    []int         // job IDs in insertion (deadline) order
+	rest     []rest        // rest[d] sums up order[d:]
 	machines []machine
 	bestC    int
 	best     []machine // deep copy of best structure
@@ -122,15 +139,27 @@ type searcher struct {
 
 // Solve finds a minimum-calibration schedule on inst.M machines.
 func Solve(inst *ise.Instance, opts Options) (*Result, error) {
+	s, res, err := newSearcher(inst, opts)
+	if s == nil {
+		return res, err
+	}
+	s.dfs(0, 0)
+	return s.result()
+}
+
+// newSearcher sets up the search: the warm incumbent, the insertion
+// order, its suffix sums and the per-depth scratch. When the instance
+// needs no search (invalid, empty, or stopped before the search
+// starts) it returns a nil searcher with Solve's answer.
+func newSearcher(inst *ise.Instance, opts Options) (*searcher, *Result, error) {
 	if err := inst.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if inst.N() == 0 {
-		return &Result{Schedule: ise.NewSchedule(inst.M), Proven: true}, nil
+		return nil, &Result{Schedule: ise.NewSchedule(inst.M), Proven: true}, nil
 	}
 	s := &searcher{
 		inst:     inst,
-		work:     inst.TotalWork(),
 		machines: make([]machine, inst.M),
 		bestC:    inst.N() + 1, // sentinel: any solution beats it
 		maxNodes: opts.MaxNodes,
@@ -140,13 +169,12 @@ func Solve(inst *ise.Instance, opts Options) (*Result, error) {
 	}
 	s.check = opts.Control.CheckFunc("exact")
 	if err := opts.Control.ErrPhase("exact"); err != nil {
-		return &Result{Stopped: err}, err
+		return nil, &Result{Stopped: err}, err
 	}
-	var warm *ise.Schedule
 	if opts.WarmStart {
 		if ws, err := heur.Lazy(inst, heur.Options{MaxMachines: inst.M}); err == nil {
 			if ise.Validate(inst, ws) == nil {
-				warm = ws
+				s.warm = ws
 				s.bestC = ws.NumCalibrations()
 			}
 		}
@@ -163,6 +191,17 @@ func Solve(inst *ise.Instance, opts Options) (*Result, error) {
 		return ja.ID < jb.ID
 	})
 	n := inst.N()
+	s.rest = make([]rest, n)
+	next := rest{minP: noLimit, minEnd: noLimit}
+	for d := n - 1; d >= 0; d-- {
+		j := inst.Jobs[s.order[d]]
+		next = rest{
+			work:   next.work + j.Processing,
+			minP:   min(next.minP, j.Processing),
+			minEnd: min(next.minEnd, j.Release+j.Processing),
+		}
+		s.rest[d] = next
+	}
 	jobs, groups := make([]int, n*(n+1)/2), make([][]int, n*(n+1)/2)
 	times := make([]ise.Time, n*(n+1))
 	s.levels = make([]level, n)
@@ -174,7 +213,12 @@ func Solve(inst *ise.Instance, opts Options) (*Result, error) {
 			start:  times[2*off+d+1 : 2*(off+d+1) : 2*(off+d+1)],
 		}
 	}
-	s.dfs(0, 0)
+	return s, nil, nil
+}
+
+// result turns the finished (or stopped) search into Solve's answer.
+func (s *searcher) result() (*Result, error) {
+	inst, warm := s.inst, s.warm
 	if s.stopErr != nil {
 		res := &Result{Proven: false, Nodes: s.nodes, Stopped: s.stopErr}
 		if s.best != nil {
@@ -227,16 +271,17 @@ func (s *searcher) dfs(depth, cals int) {
 			return
 		}
 	}
-	// Bound: remaining work needs at least this many extra
-	// calibrations beyond the free capacity of existing groups. Every
-	// group is one calibration, so that capacity is cals*T minus the
-	// placed work, and the remaining work beyond it is W - cals*T.
+	// Bound: the remaining work W_R fits only into the free capacity
+	// of the groups that some remaining job can still join (openRoom,
+	// which also argues why the bound is valid and keeps the answers)
+	// and into new calibrations of T each, so at least
+	// ceil((W_R - openRoom) / T) more must open. The subtree can beat
+	// the incumbent only if W_R - openRoom <= (bestC - 1 - cals) * T;
+	// when W_R alone passes that test, no group needs a look. The node
+	// was counted above, so the cap still counts every node entered.
 	T := s.inst.T
-	if extra := s.work - ise.Time(cals)*T; extra > 0 {
-		need := int((extra + T - 1) / T)
-		if cals+need >= s.bestC {
-			return
-		}
+	if excess := s.rest[depth].work - ise.Time(s.bestC-1-cals)*T; excess > 0 && s.openRoom(depth, excess) < excess {
+		return
 	}
 
 	id := s.order[depth]
@@ -309,6 +354,58 @@ func (s *searcher) dfs(depth, cals int) {
 			}
 		}
 	}
+}
+
+// openRoom is the free capacity, T - w_g summed, of the groups that a
+// job of order[depth:] can still join, summed no further than enough.
+//
+// Walking a machine's groups from last to first, L_g, the smaller of
+// L_{g+1} - T and d_k minus the group's work up to and including k
+// over its jobs k in order, bounds group g's start from above: its
+// jobs run left-packed from the start and meet their deadlines, and
+// the next calibration starts at least T later. Group g is open when
+// the remaining jobs' smallest p_j fits its free capacity and their
+// smallest r_j + p_j is at most L_g + T (two suffix minima that may
+// come from different jobs, so this can only count too many groups).
+//
+// The bound is valid because a closed group's capacity is never
+// used. An insertion never moves a start earlier (see feasibleAfter),
+// and groupStart's release bound keeps every job of a group inside
+// [t_g, t_g + T). Inserting a job anywhere only raises w_g and lowers
+// L_g. So a job that later joins g ends no earlier than r_j + p_j and
+// no later than t_g + T <= L_g + T, and needs p_j <= T - w_g: a group
+// that no remaining job passes both tests for stays as it is. Counting
+// every group as open gives the plain work-volume bound,
+// ceil((W - cals*T) / T).
+//
+// The bound keeps the answers: dfs visits the candidates in the same
+// order, a pruned subtree holds no leaf below the incumbent at the
+// prune, and the incumbent only falls, so the search meets the same
+// incumbents in the same order and returns the same schedule. It
+// expands no more nodes, so a search that finished within the node cap
+// still does, and one that hit the cap may now finish.
+func (s *searcher) openRoom(depth int, enough ise.Time) ise.Time {
+	T, r := s.inst.T, s.rest[depth]
+	var room ise.Time
+	for mi := range s.machines {
+		gs := s.machines[mi].groups
+		limit := noLimit
+		for gi := len(gs) - 1; gi >= 0; gi-- {
+			limit -= T
+			var w ise.Time
+			for _, id := range gs[gi] {
+				j := s.inst.Jobs[id]
+				w += j.Processing
+				limit = min(limit, j.Deadline-w)
+			}
+			if w+r.minP <= T && r.minEnd <= limit+T {
+				if room += T - w; room >= enough {
+					return room
+				}
+			}
+		}
+	}
+	return room
 }
 
 // place fills work and start with each group's work and start under

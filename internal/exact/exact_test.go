@@ -184,23 +184,23 @@ func TestNodeCap(t *testing.T) {
 	}
 }
 
-// TestSearchAllocationsDoNotScaleWithNodes pins the search on a fixture
-// that expands 131 328 nodes: its result, and an allocation count that
-// stays flat as the tree grows. Candidate groups are built in per-depth
-// buffers, so only the setup, the warm start and each new incumbent's
-// copy allocate; one allocation per candidate would be millions.
+// TestSearchAllocationsDoNotScaleWithNodes pins the search on fixture
+// A, which expands 333 879 nodes: its result, and an allocation count
+// that stays flat as the tree grows. Candidate groups are built in
+// per-depth buffers, so only the setup, the warm start and each new
+// incumbent's copy allocate; one allocation per candidate would be
+// millions.
 func TestSearchAllocationsDoNotScaleWithNodes(t *testing.T) {
-	inst, _ := workload.Mixed(rand.New(rand.NewSource(7)), 11, 2, 10, 0.5)
-	opts := Options{MaxNodes: 500_000, WarmStart: true}
-	res, err := Solve(inst, opts)
+	inst := fixtureA()
+	res, err := Solve(inst, ladderOptions)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Nodes != 131328 || !res.Proven || res.Calibrations != 5 {
-		t.Fatalf("got nodes=%d proven=%v calibrations=%d, want 131328 true 5", res.Nodes, res.Proven, res.Calibrations)
+	if res.Nodes != 333879 || !res.Proven || res.Calibrations != 4 {
+		t.Fatalf("got nodes=%d proven=%v calibrations=%d, want 333879 true 4", res.Nodes, res.Proven, res.Calibrations)
 	}
 	allocs := testing.AllocsPerRun(1, func() {
-		if _, err := Solve(inst, opts); err != nil {
+		if _, err := Solve(inst, ladderOptions); err != nil {
 			t.Fatal(err)
 		}
 	})
