@@ -55,8 +55,10 @@ func BenchmarkT1LongWindow(b *testing.B) {
 
 // BenchmarkT1LongWindowN40 is the headline end-to-end comparison at
 // n=40: the seed pipeline (one monolithic solve) versus the hot path,
-// time-component decomposition on a pool of 4 workers — what
-// SolveRobust runs on every request. Both arms build the same dense
+// time-component decomposition on a pool of 4 workers. SolveRobust
+// decomposes every request too, but ised sets no Parallelism, so a
+// served request's components run on one worker (DESIGN.md §5: a
+// 2-worker pool gained nothing there). Both arms build the same dense
 // tableau with the full pair-row family per component. The workload is
 // T1-style — long-window jobs planted around calibration clusters — at
 // 4 clusters x 10 jobs. "HotPath" reports the end-to-end quotient as

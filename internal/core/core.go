@@ -82,9 +82,6 @@ type Result struct {
 	Short *shortwin.Result
 	// LongJobs and ShortJobs count the partition sizes.
 	LongJobs, ShortJobs int
-	// LongTime and ShortTime are the wall clocks of the two
-	// sub-pipelines (summed across components on the decomposed path).
-	LongTime, ShortTime time.Duration
 	// Components is how many independent time components were solved
 	// (1 on the monolithic path or when no gap splits the instance).
 	Components int
@@ -175,7 +172,6 @@ func solveMono(inst *ise.Instance, opts Options, gamma int, parent *obs.Span, me
 	merged := ise.NewSchedule(0)
 	offset := 0
 	if long.N() > 0 {
-		t1 := time.Now()
 		lsp := parent.Start("long")
 		lr, err := tise.Solve(long, tise.Options{Span: lsp, Metrics: met, Control: opts.Control})
 		if err != nil {
@@ -184,7 +180,6 @@ func solveMono(inst *ise.Instance, opts Options, gamma int, parent *obs.Span, me
 		}
 		lsp.SetFloat("lp_objective", lr.LP.Objective)
 		lsp.End()
-		res.LongTime = time.Since(t1)
 		res.Long = lr
 		res.LPObjective = lr.LP.Objective
 		ls := lr.Schedule.Clone()
@@ -193,7 +188,6 @@ func solveMono(inst *ise.Instance, opts Options, gamma int, parent *obs.Span, me
 		offset = ls.Machines
 	}
 	if short.N() > 0 {
-		t1 := time.Now()
 		ssp := parent.Start("short")
 		sr, err := shortwin.Solve(short, shortwin.Options{
 			MM: opts.MM, TrimIdle: opts.TrimIdle, Gamma: gamma,
@@ -205,7 +199,6 @@ func solveMono(inst *ise.Instance, opts Options, gamma int, parent *obs.Span, me
 		}
 		ssp.SetInt("intervals", int64(len(sr.Intervals)))
 		ssp.End()
-		res.ShortTime = time.Since(t1)
 		res.Short = sr
 		ss := sr.Schedule.Clone()
 		ss.RenumberJobs(shortIDs)
@@ -345,8 +338,6 @@ func solveDecomposed(comps []decomp.Component, opts Options, gamma int, parent *
 		schedules[i] = part.Schedule
 		agg.LongJobs += part.LongJobs
 		agg.ShortJobs += part.ShortJobs
-		agg.LongTime += part.LongTime
-		agg.ShortTime += part.ShortTime
 		agg.LPObjective += part.LPObjective
 	}
 	agg.Schedule = mergeComponents(comps, schedules)

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"math/rand"
 	"testing"
 
 	"calib/internal/ise"
+	"calib/internal/obs"
 	"calib/internal/workload"
 )
 
@@ -61,20 +64,42 @@ func TestGammaSweepEndToEnd(t *testing.T) {
 	}
 }
 
+// TestTimingsPopulated: the stage spans time the long and short
+// sub-pipelines and the LP.
 func TestTimingsPopulated(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	inst, _ := workload.Mixed(rng, 12, 1, 10, 0.5)
-	res, err := Solve(inst, Options{})
+	tr := obs.NewTrace("solve")
+	res, err := Solve(inst, Options{Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.LongJobs > 0 && res.LongTime <= 0 {
-		t.Error("LongTime not recorded")
+	tr.Finish()
+	var js bytes.Buffer
+	if err := tr.WriteJSON(&js); err != nil {
+		t.Fatal(err)
 	}
-	if res.ShortJobs > 0 && res.ShortTime <= 0 {
-		t.Error("ShortTime not recorded")
+	type span struct {
+		Name     string
+		US       int64
+		Children []span
 	}
-	if res.Long != nil && res.Long.Timing.LP <= 0 {
-		t.Error("LP timing not recorded")
+	var root span
+	if err := json.Unmarshal(js.Bytes(), &root); err != nil {
+		t.Fatal(err)
+	}
+	us := map[string]int64{}
+	var walk func(s span)
+	walk = func(s span) {
+		us[s.Name] += s.US
+		for _, c := range s.Children {
+			walk(c)
+		}
+	}
+	walk(root)
+	for stage, ran := range map[string]bool{"long": res.LongJobs > 0, "lp": res.LongJobs > 0, "short": res.ShortJobs > 0} {
+		if ran && us[stage] <= 0 {
+			t.Errorf("%s stage not timed:\n%s", stage, js.String())
+		}
 	}
 }

@@ -15,9 +15,9 @@ import (
 )
 
 // RobustOptions configures SolveRobust. The embedded Options carry the
-// pipeline configuration (engine, strategy, MM box, parallelism,
-// telemetry) and — crucially — the Control whose deadline/budget drive
-// the degradation ladder.
+// pipeline configuration (MM box, idle trimming, gamma, parallelism,
+// telemetry, fault injection) and — crucially — the Control whose
+// deadline/budget drive the degradation ladder.
 type RobustOptions struct {
 	Options
 	// ExactJobs gates the exact rung: a component is attempted exactly

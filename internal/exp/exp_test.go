@@ -2,6 +2,8 @@ package exp
 
 import (
 	"bytes"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -101,6 +103,36 @@ func TestExperimentsQuick(t *testing.T) {
 		tab.Fprint(&buf)
 		if buf.Len() == 0 {
 			t.Errorf("table %q rendered empty", tab.Title)
+		}
+	}
+}
+
+// TestT10MatchesResults pins the quick T10 table to the committed one:
+// its two rows (LP 2 / ILP 2 and LP 1.5 / ILP 2) are the first rows of
+// docs/RESULTS.txt's T10 table, cell for cell.
+func TestT10MatchesResults(t *testing.T) {
+	tab := T10IntegralityGap(Config{Quick: true})
+	raw, err := os.ReadFile("../../docs/RESULTS.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(raw), "## "+tab.Title+"\n")
+	if !ok {
+		t.Fatalf("docs/RESULTS.txt has no table %q", tab.Title)
+	}
+	var want [][]string
+	for _, line := range strings.Split(section, "\n")[2:] { // past header and rule
+		if line == "" {
+			break
+		}
+		want = append(want, strings.Fields(line))
+	}
+	if len(tab.Rows) != 2 || len(want) < 2 {
+		t.Fatalf("quick T10 has %d rows, docs/RESULTS.txt %d; want 2 and at least 2", len(tab.Rows), len(want))
+	}
+	for i, row := range tab.Rows {
+		if !slices.Equal(row, want[i]) {
+			t.Errorf("T10 row %d = %v, docs/RESULTS.txt has %v", i, row, want[i])
 		}
 	}
 }

@@ -30,7 +30,8 @@ type Options struct {
 type Result struct {
 	// Status is Optimal when an optimal integer solution was proven,
 	// Infeasible when no integer solution exists, IterLimit when the
-	// node cap was hit (Objective/X then hold the best found, if any).
+	// node cap stopped the search with subproblems still open
+	// (Objective/X then hold the best found, if any).
 	Status lp.Status
 	// Objective and X describe the best integer solution found.
 	Objective float64
@@ -77,10 +78,7 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 		stack = stack[:len(stack)-1]
 		res.Nodes++
 
-		prob := clone(p, nd.bounds)
-		// Branching bounds are singleton rows, which presolve converts
-		// into fixings/reductions before the simplex runs.
-		sol, err := lp.SolvePresolved(prob)
+		sol, err := lp.Solve(clone(p, nd.bounds))
 		if err != nil {
 			return nil, err
 		}
@@ -129,7 +127,7 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 		stack = append(stack, node{bounds: append(append([]bound(nil), nd.bounds...), bound{branchVar, false, fl + 1})})
 		stack = append(stack, node{bounds: append(append([]bound(nil), nd.bounds...), bound{branchVar, true, fl})})
 	}
-	if res.Nodes >= maxNodes {
+	if len(stack) > 0 {
 		res.Status = lp.IterLimit
 	} else if res.Found {
 		res.Status = lp.Optimal

@@ -45,6 +45,30 @@ func TestIntegralityForcesWorseObjective(t *testing.T) {
 	}
 }
 
+// TestNodeCapOnLastNode: a tree that closes on exactly the last node
+// the cap allows is proven, not cut short. min x s.t. 2x >= 3 takes
+// three nodes: the root (x = 1.5), the infeasible x <= 1 and the
+// integral x >= 2.
+func TestNodeCapOnLastNode(t *testing.T) {
+	p := lp.NewProblem()
+	x := p.AddVar("x", 1)
+	p.AddConstraint(lp.GE, 3, lp.Term{Var: x, Coeff: 2})
+	res, err := Solve(p, []int{x}, Options{MaxNodes: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Nodes != 3 || res.Status != lp.Optimal || res.Objective != 2 {
+		t.Errorf("nodes %d status %v objective %v, want 3 optimal 2", res.Nodes, res.Status, res.Objective)
+	}
+	res, err = Solve(p, []int{x}, Options{MaxNodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != lp.IterLimit || res.Found {
+		t.Errorf("MaxNodes 2: status %v found %v, want iteration-limit with nothing found", res.Status, res.Found)
+	}
+}
+
 func TestInfeasibleInteger(t *testing.T) {
 	// 0.4 <= x <= 0.6 has no integer point.
 	p := lp.NewProblem()

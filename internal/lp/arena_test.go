@@ -61,17 +61,12 @@ func sameSolution(a, b *Solution) string {
 		return "iterations"
 	case math.Float64bits(a.Objective) != math.Float64bits(b.Objective):
 		return "objective"
-	case len(a.X) != len(b.X) || len(a.Dual) != len(b.Dual):
+	case len(a.X) != len(b.X):
 		return "lengths"
 	}
 	for v := range a.X {
 		if math.Float64bits(a.X[v]) != math.Float64bits(b.X[v]) {
 			return "X"
-		}
-	}
-	for i := range a.Dual {
-		if math.Float64bits(a.Dual[i]) != math.Float64bits(b.Dual[i]) {
-			return "Dual"
 		}
 	}
 	return ""

@@ -69,16 +69,16 @@ func TestBoundedEnginesAgree(t *testing.T) {
 	}
 }
 
-// TestBoundedPresolve checks a bound row through the presolve path: a
+// TestBoundRowCapsLoneVariable checks a bound row on its own: a
 // variable in no other row, with negative cost and the row x <= 6, is
 // solved at that bound instead of declaring unboundedness.
-func TestBoundedPresolve(t *testing.T) {
+func TestBoundRowCapsLoneVariable(t *testing.T) {
 	p := NewProblem()
 	p.AddVar("used", 1)
 	p.AddVar("free", -2) // appears only in its bound row
 	p.AddConstraint(GE, 3, Term{0, 1})
 	p.AddConstraint(LE, 6, Term{1, 1})
-	sol, err := SolvePresolved(p)
+	sol, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -208,10 +208,4 @@ type Solution struct {
 	Objective  float64
 	X          []float64 // variable values; valid only when Status == Optimal
 	Iterations int       // simplex pivots performed across both phases
-	// Dual holds the dual value (shadow price) of each constraint row,
-	// in input order; populated by the float64 engine when optimal.
-	// Signs follow the minimization convention: for a binding <= row
-	// the dual is <= 0 ... the test suite asserts weak duality and
-	// complementary slackness rather than a sign convention.
-	Dual []float64
 }

@@ -22,14 +22,13 @@ const (
 // Every stored cell goes through exactly the floating-point operations
 // a full (m+1)×(n+1) tableau applies to the same variable's cell, and
 // every pricing, ratio-test and purge decision picks the variable the
-// full tableau picks, so the two layouts give bit-identical solutions,
-// duals and pivot counts. Three facts make that hold: the leaving
-// variable's cells are computed as 1*inv in the pivot row and +0-f*inv
-// elsewhere (the full tableau subtracts from the +0 of its unit
-// column there); ties break on variable index, not slot; and a basic
-// variable's reduced cost is exactly +0 in the full tableau (installCost
-// gives x-x, a pivot writes 0), so it is never chosen and contributes
-// +0 to a dual.
+// full tableau picks, so the two layouts give bit-identical solutions
+// and pivot counts. Three facts make that hold: the leaving variable's
+// cells are computed as 1*inv in the pivot row and +0-f*inv elsewhere
+// (the full tableau subtracts from the +0 of its unit column there);
+// ties break on variable index, not slot; and a basic variable's
+// reduced cost is exactly +0 in the full tableau (installCost gives
+// x-x, a pivot writes 0), so it is never chosen.
 type tableau struct {
 	m, n   int // constraint rows, variables
 	w      int // slots, n-m; column w is the rhs
@@ -38,12 +37,6 @@ type tableau struct {
 	varOf  []int // variable in each slot
 	slotOf []int // slot of each variable, -1 while it is basic
 	artLo  int   // first artificial variable; variables >= artLo are artificial
-	// Dual extraction: row i's dual value is dualMult[i] times the
-	// final reduced cost of variable dualCol[i] (the row's slack,
-	// surplus, or artificial), with dualMult folding in both the
-	// column's unit sign and any rhs-normalization flip.
-	dualCol  []int
-	dualMult []float64
 	// cost holds each phase's per-variable costs for installCost.
 	cost []float64
 	// Elimination scratch, carved once per solve: the pivot row's
@@ -176,15 +169,6 @@ func solve(p *Problem, f form, a *arena, check CheckFunc) (*Solution, error) {
 		}
 		sol.Objective += p.obj[v] * sol.X[v]
 	}
-	sol.Dual = make([]float64, t.m)
-	crow := t.row(t.m)
-	for i := 0; i < t.m; i++ {
-		var d float64 // a basic variable's reduced cost, +0
-		if s := t.slotOf[t.dualCol[i]]; s >= 0 {
-			d = crow[s]
-		}
-		sol.Dual[i] = t.dualMult[i] * d
-	}
 	return sol, nil
 }
 
@@ -211,16 +195,16 @@ func formOf(p *Problem) form {
 }
 
 // span is what the form's tableau takes of an arena: its (m+1)×(w+1)
-// cells, cost vector and dual multipliers; its nonzero index; and its
-// basis, dual columns, slot maps and elimination scratch.
+// cells and cost vector; its nonzero index; and its basis, slot maps
+// and elimination scratch.
 func (f form) span() span {
 	n := f.nvar + f.nSlack + f.nArt
 	w := n - f.m
 	_, _, words := indexWords(f.m, w)
 	return span{
-		f: (f.m+1)*(w+1) + n + f.m,
+		f: (f.m+1)*(w+1) + n,
 		u: words,
-		i: 2*f.m + w + n + (w + 1) + (f.m + 1),
+		i: f.m + w + n + (w + 1) + (f.m + 1),
 	}
 }
 
@@ -249,19 +233,17 @@ func build(p *Problem, f form, a *arena, check CheckFunc) (*tableau, error) {
 	w := n - m
 	fs, is := a.f, a.i
 	t := &tableau{
-		m:        m,
-		n:        n,
-		w:        w,
-		a:        carve(&fs, (m+1)*(w+1)),
-		cost:     carve(&fs, n),
-		dualMult: carve(&fs, m),
-		basis:    carve(&is, m),
-		dualCol:  carve(&is, m),
-		varOf:    carve(&is, w),
-		slotOf:   carve(&is, n),
-		cols:     carve(&is, w+1)[:0],
-		rows:     carve(&is, m+1)[:0],
-		artLo:    nvar + f.nSlack,
+		m:      m,
+		n:      n,
+		w:      w,
+		a:      carve(&fs, (m+1)*(w+1)),
+		cost:   carve(&fs, n),
+		basis:  carve(&is, m),
+		varOf:  carve(&is, w),
+		slotOf: carve(&is, n),
+		cols:   carve(&is, w+1)[:0],
+		rows:   carve(&is, m+1)[:0],
+		artLo:  nvar + f.nSlack,
 	}
 	t.setIndex(a.u)
 	for v := range t.slotOf {
@@ -294,22 +276,16 @@ func build(p *Problem, f form, a *arena, check CheckFunc) (*tableau, error) {
 		switch normalizedRel(r) {
 		case LE:
 			t.basis[i] = slack
-			// d_slack = -y_norm; y_orig = sign * y_norm.
-			t.dualCol[i], t.dualMult[i] = slack, -sign
 			slack++
 		case GE:
 			t.varOf[surplus], t.slotOf[slack] = slack, surplus
 			set(i, surplus, -1)
 			surplus++
-			// d_surplus = +y_norm.
-			t.dualCol[i], t.dualMult[i] = slack, sign
 			slack++
 			t.basis[i] = art
 			art++
 		case EQ:
 			t.basis[i] = art
-			// d_artificial = -y_norm (artificials cost 0 in phase 2).
-			t.dualCol[i], t.dualMult[i] = art, -sign
 			art++
 		}
 	}
@@ -597,8 +573,7 @@ func (t *tableau) purgeArtificials() {
 		// artificial stays formally basic at 0.
 		clear(ri)
 	}
-	// Nonbasic artificial columns are intentionally left intact: phase
-	// 2 never prices them (iterate's hi excludes them), and their
-	// tableau values equal B^{-1} e_i, which is exactly what dual
-	// extraction reads after optimality.
+	// Nonbasic artificial columns are left in place: phase 2 never
+	// prices them (iterate's hi excludes them) and reads nothing else
+	// of them, though each pivot still updates their cells.
 }

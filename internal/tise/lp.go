@@ -52,13 +52,6 @@ type Fractional struct {
 	MPrime int
 	// Iterations counts simplex pivots.
 	Iterations int
-	// MachinePrice[i] is the dual value of constraint (1) at Points[i]
-	// — the shadow price of the m' machine cap on the window ending at
-	// that point. Nonzero entries mark the congested stretches where
-	// one more machine would reduce the fractional calibration count.
-	// Populated by the Float64 engine; nil under Rational, which
-	// returns no duals.
-	MachinePrice []float64
 }
 
 // InfeasibleError reports that the TISE LP relaxation (and hence the
@@ -216,16 +209,6 @@ func solveLP(inst *ise.Instance, mPrime int, engine Engine, met *obs.Registry, c
 	}
 
 	frac := &Fractional{Points: points, Objective: sol.Objective, MPrime: mPrime, Iterations: sol.Iterations}
-	// BuildLP emits the constraint (1) rows first, one per point, so
-	// their duals are the leading prefix of the dual vector. The sign
-	// convention is <=-row duals <= 0; negate so congestion prices
-	// read as nonnegative.
-	if len(sol.Dual) >= len(points) {
-		frac.MachinePrice = make([]float64, len(points))
-		for i := range points {
-			frac.MachinePrice[i] = -sol.Dual[i]
-		}
-	}
 	frac.C = make([]float64, len(points))
 	frac.X = make([][]float64, inst.N())
 	for i := range points {
@@ -243,7 +226,7 @@ func solveLP(inst *ise.Instance, mPrime int, engine Engine, met *obs.Registry, c
 }
 
 // solveProblem dispatches to the selected engine, normalizing the
-// rational engine's result to float64 (without duals).
+// rational engine's result to float64.
 func solveProblem(prob *lp.Problem, engine Engine, ctl *robust.Control) (*lp.Solution, error) {
 	check := ctl.CheckFunc("lp")
 	if engine == Rational {

@@ -108,46 +108,3 @@ func TestLPObjectiveLowerBoundsWitness(t *testing.T) {
 		}
 	}
 }
-
-// TestMachinePrices: the constraint (1) duals must be nonnegative
-// after sign normalization, zero on uncongested instances, and
-// positive somewhere when the machine cap binds.
-func TestMachinePrices(t *testing.T) {
-	// Uncongested: one job, three machines' worth of cap.
-	loose := ise.NewInstance(10, 1)
-	loose.AddJob(0, 40, 4)
-	fl, err := SolveLP(loose, 3, Float64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fl.MachinePrice == nil {
-		t.Fatal("machine prices not populated")
-	}
-	for i, p := range fl.MachinePrice {
-		if p < -1e-9 {
-			t.Errorf("negative machine price %v at point %d", p, i)
-		}
-		if p > 1e-9 {
-			t.Errorf("uncongested instance has positive price %v at point %d", p, i)
-		}
-	}
-	// Congested: two full-length jobs, cap m' = 1, windows force both
-	// calibrations into overlapping T-windows -> the cap binds.
-	tight := ise.NewInstance(10, 1)
-	tight.AddJob(0, 20, 10)
-	tight.AddJob(0, 21, 10)
-	ft, err := SolveLP(tight, 2, Float64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := 0.0
-	for _, p := range ft.MachinePrice {
-		if p < -1e-9 {
-			t.Fatalf("negative price %v", p)
-		}
-		sum += p
-	}
-	if sum <= 1e-9 {
-		t.Logf("note: cap did not bind on this congested instance (sum=%v)", sum)
-	}
-}

@@ -2,7 +2,6 @@ package tise
 
 import (
 	"fmt"
-	"time"
 
 	"calib/internal/ise"
 	"calib/internal/obs"
@@ -42,16 +41,6 @@ type Result struct {
 	// RoundedTimes are the calibration times emitted by Algorithm 1
 	// (before mirroring), at most 2*LP.Objective of them.
 	RoundedTimes []ise.Time
-	// Timing records wall-clock per stage, for observability and the
-	// scaling experiment.
-	Timing Timing
-}
-
-// Timing is the per-stage wall clock of a long-window solve.
-type Timing struct {
-	LP    time.Duration // build + solve the relaxation
-	Round time.Duration // Algorithm 1 + round-robin machines
-	EDF   time.Duration // Algorithm 2
 }
 
 // Solve runs the complete long-window TISE algorithm of Section 3 on a
@@ -75,8 +64,6 @@ func Solve(inst *ise.Instance, opts Options) (*Result, error) {
 	if met == nil {
 		met = obs.Default()
 	}
-	var tm Timing
-	t0 := time.Now()
 	sp := opts.Span.Start("lp")
 	sp.SetStr("engine", opts.Engine.String())
 	sp.SetStr("strategy", opts.Strategy.String())
@@ -90,8 +77,6 @@ func Solve(inst *ise.Instance, opts Options) (*Result, error) {
 	sp.SetFloat("objective", frac.Objective)
 	sp.SetInt("pivots", int64(frac.Iterations))
 	sp.End()
-	tm.LP = time.Since(t0)
-	t0 = time.Now()
 	sp = opts.Span.Start("rounding")
 	times := RoundCalibrations(frac.Points, frac.C)
 	cal, err := AssignRoundRobin(times, 3*mPrime, inst.T)
@@ -101,8 +86,6 @@ func Solve(inst *ise.Instance, opts Options) (*Result, error) {
 	}
 	sp.SetInt("calibrations", int64(len(times)))
 	sp.End()
-	tm.Round = time.Since(t0)
-	t0 = time.Now()
 	sp = opts.Span.Start("edf")
 	sched, err := AssignJobsEDF(inst, cal)
 	if err != nil {
@@ -111,8 +94,7 @@ func Solve(inst *ise.Instance, opts Options) (*Result, error) {
 	}
 	sp.SetInt("jobs", int64(inst.N()))
 	sp.End()
-	tm.EDF = time.Since(t0)
-	return &Result{Schedule: sched, LP: frac, RoundedTimes: times, Timing: tm}, nil
+	return &Result{Schedule: sched, LP: frac, RoundedTimes: times}, nil
 }
 
 // SpeedResult is the output of SolveWithSpeed. Because the
