@@ -126,25 +126,14 @@ func (b MMBox) solver() mm.Solver {
 // paper-faithful defaults: greedy MM box, no trimming. The long-window
 // LP always runs on the float64 dense tableau with every pair row
 // built up front (see DESIGN.md §5 for why that is the production
-// path).
+// path). Post-passes beyond the paper are separate calls on the
+// answer: Improve, then Compact.
 type Options struct {
 	// MMBox selects the short-window black box.
 	MMBox MMBox
 	// TrimIdleCalibrations drops short-window calibrations that host
 	// no job — a feasibility-preserving optimization beyond the paper.
 	TrimIdleCalibrations bool
-	// CompactMachines recolors the final schedule onto the minimum
-	// machines its calibrations allow (optimal interval coloring).
-	// The algorithms allocate their worst-case machine budget (18m
-	// for the long-window pipeline); compaction recovers the unused
-	// part without changing any times.
-	CompactMachines bool
-	// LocalSearch post-processes the schedule with calibration-
-	// elimination local search (internal/improve): never worse,
-	// feasibility re-verified, typically strips most of the worst-case
-	// padding. Beyond the paper; the approximation guarantee is
-	// unaffected (the result only gets better).
-	LocalSearch bool
 	// Parallelism > 0 decomposes the instance at time gaps of at least
 	// T (no calibration can span such a gap, so the optimum splits
 	// exactly; see internal/decomp) and solves the components
@@ -205,31 +194,11 @@ var (
 	ErrBudget = robust.ErrBudgetExhausted
 )
 
-// control materializes the Options' limit fields into a
-// robust.Control. The returned cancel must be called when the solve
-// finishes; both are no-ops when no limit is configured.
-func (o *Options) control() (*robust.Control, context.CancelFunc) {
-	if o.Context == nil && o.Timeout <= 0 && o.Budget <= 0 {
-		return nil, func() {}
-	}
-	ctx := o.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	cancel := context.CancelFunc(func() {})
-	if o.Timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, o.Timeout)
-	}
-	met := o.Metrics
-	if met == nil {
-		met = obs.Default()
-	}
-	return robust.NewControl(ctx, o.Budget, met), cancel
-}
-
 // coreOptions translates the Options into the pipeline's options,
-// shared by Solve and SolveRobust.
-func (o *Options) coreOptions(ctl *robust.Control) core.Options {
+// shared by Solve and SolveRobust. The returned cancel releases the
+// solve's limits and must be called when the solve finishes.
+func (o *Options) coreOptions() (core.Options, context.CancelFunc) {
+	ctl, cancel := robust.NewTimedControl(o.Context, o.Timeout, o.Budget, o.Metrics)
 	return core.Options{
 		MM:          o.MMBox.solver(),
 		TrimIdle:    o.TrimIdleCalibrations,
@@ -238,7 +207,7 @@ func (o *Options) coreOptions(ctl *robust.Control) core.Options {
 		Metrics:     o.Metrics,
 		Control:     ctl,
 		Fault:       o.Fault,
-	}
+	}, cancel
 }
 
 // Trace is a hierarchical span recorder for one solve; create with
@@ -285,25 +254,11 @@ func Solve(inst *Instance, opts *Options) (*Solution, error) {
 	if opts != nil {
 		o = *opts
 	}
-	ctl, cancel := o.control()
+	co, cancel := o.coreOptions()
 	defer cancel()
-	res, err := core.Solve(inst, o.coreOptions(ctl))
+	res, err := core.Solve(inst, co)
 	if err != nil {
 		return nil, err
-	}
-	if o.LocalSearch {
-		improved, ierr := improve.Run(inst, res.Schedule)
-		if ierr != nil {
-			return nil, ierr
-		}
-		res.Schedule = improved.Schedule
-	}
-	if o.CompactMachines {
-		compacted, cerr := ise.Compact(inst, res.Schedule)
-		if cerr != nil {
-			return nil, cerr
-		}
-		res.Schedule = compacted
 	}
 	sol := &Solution{
 		Schedule:     res.Schedule,
@@ -336,10 +291,8 @@ type RobustSolution struct {
 	MachinesUsed int
 	// Components is the number of independent time components solved.
 	Components int
-	// Degraded reports whether any component fell past its first rung;
-	// DegradedComponents lists which (in component order).
-	Degraded           bool
-	DegradedComponents []int
+	// Degraded reports whether any component fell past its first rung.
+	Degraded bool
 	// Reports holds the per-component provenance, in component order.
 	Reports []ComponentReport
 	// Exact reports that every component was solved to proven
@@ -389,42 +342,22 @@ func SolveRobust(inst *Instance, opts *Options) (*RobustSolution, error) {
 	if opts != nil {
 		o = *opts
 	}
-	ctl, cancel := o.control()
+	co, cancel := o.coreOptions()
 	defer cancel()
-	res, err := core.SolveRobust(inst, core.RobustOptions{Options: o.coreOptions(ctl)})
+	res, err := core.SolveRobust(inst, co)
 	if err != nil {
 		return nil, err
 	}
-	sched := res.Schedule
-	if o.LocalSearch {
-		improved, ierr := improve.Run(inst, sched)
-		if ierr != nil {
-			return nil, ierr
-		}
-		sched = improved.Schedule
-	}
-	if o.CompactMachines {
-		compacted, cerr := ise.Compact(inst, sched)
-		if cerr != nil {
-			return nil, cerr
-		}
-		sched = compacted
-	}
 	sol := &RobustSolution{
-		Schedule:     sched,
-		Calibrations: sched.NumCalibrations(),
-		MachinesUsed: sched.MachinesUsed(),
+		Schedule:     res.Schedule,
+		Calibrations: res.Schedule.NumCalibrations(),
+		MachinesUsed: res.Schedule.MachinesUsed(),
 		Components:   res.Components,
 		Degraded:     res.Degraded,
 		Reports:      res.Reports,
 		Exact:        res.Exact,
 		LowerBound:   bounds.Calibrations(inst),
 		LadderLower:  res.LowerBound,
-	}
-	for _, rep := range res.Reports {
-		if len(rep.Attempts) > 0 {
-			sol.DegradedComponents = append(sol.DegradedComponents, rep.Component)
-		}
 	}
 	return sol, nil
 }

@@ -17,18 +17,18 @@ func TestCompactMachinesOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compact, err := calib.Solve(inst, &calib.Options{CompactMachines: true})
+	compact, err := calib.Compact(inst, plain.Schedule)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := calib.Validate(inst, compact.Schedule); err != nil {
+	if err := calib.Validate(inst, compact); err != nil {
 		t.Fatalf("compacted schedule infeasible: %v", err)
 	}
-	if compact.Calibrations != plain.Calibrations {
-		t.Errorf("compaction changed calibrations: %d vs %d", compact.Calibrations, plain.Calibrations)
+	if compact.NumCalibrations() != plain.Calibrations {
+		t.Errorf("compaction changed calibrations: %d vs %d", compact.NumCalibrations(), plain.Calibrations)
 	}
-	if compact.MachinesUsed > plain.MachinesUsed {
-		t.Errorf("compaction increased machines: %d vs %d", compact.MachinesUsed, plain.MachinesUsed)
+	if compact.MachinesUsed() > plain.MachinesUsed {
+		t.Errorf("compaction increased machines: %d vs %d", compact.MachinesUsed(), plain.MachinesUsed)
 	}
 }
 
@@ -59,23 +59,23 @@ func TestLocalSearchOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	improved, err := calib.Solve(inst, &calib.Options{LocalSearch: true, CompactMachines: true})
+	improved, err := calib.Improve(inst, plain.Schedule)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := calib.Validate(inst, improved.Schedule); err != nil {
+	if improved.NumCalibrations() > plain.Calibrations {
+		t.Errorf("local search made it worse: %d > %d", improved.NumCalibrations(), plain.Calibrations)
+	}
+	// The recipe T9 and isebatch run: Improve, then Compact.
+	compact, err := calib.Compact(inst, improved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := calib.Validate(inst, compact); err != nil {
 		t.Fatalf("infeasible: %v", err)
 	}
-	if improved.Calibrations > plain.Calibrations {
-		t.Errorf("local search made it worse: %d > %d", improved.Calibrations, plain.Calibrations)
-	}
-	// Standalone Improve on the plain schedule agrees.
-	imp2, err := calib.Improve(inst, plain.Schedule)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if imp2.NumCalibrations() > plain.Calibrations {
-		t.Error("standalone Improve made it worse")
+	if compact.NumCalibrations() != improved.NumCalibrations() {
+		t.Errorf("compaction changed calibrations: %d vs %d", compact.NumCalibrations(), improved.NumCalibrations())
 	}
 }
 

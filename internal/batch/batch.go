@@ -51,19 +51,7 @@ type Limits struct {
 // control builds a per-solve control; both returns are no-ops for the
 // zero Limits.
 func (l Limits) control() (*robust.Control, context.CancelFunc) {
-	if l.Timeout <= 0 && l.Budget <= 0 {
-		return nil, func() {}
-	}
-	ctx := context.Background()
-	cancel := context.CancelFunc(func() {})
-	if l.Timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, l.Timeout)
-	}
-	met := l.Metrics
-	if met == nil {
-		met = obs.Default()
-	}
-	return robust.NewControl(ctx, l.Budget, met), cancel
+	return robust.NewTimedControl(nil, l.Timeout, l.Budget, l.Metrics)
 }
 
 // DefaultPolicies returns the standard comparison set: the paper's
@@ -111,7 +99,7 @@ func DefaultPoliciesCtl(l Limits) []Policy {
 		{"robust", func(inst *ise.Instance) (*ise.Schedule, error) {
 			ctl, cancel := l.control()
 			defer cancel()
-			r, err := core.SolveRobust(inst, core.RobustOptions{Options: core.Options{Control: ctl, Fault: l.Fault}})
+			r, err := core.SolveRobust(inst, core.Options{Control: ctl, Fault: l.Fault})
 			if err != nil {
 				return nil, err
 			}

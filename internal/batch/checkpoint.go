@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"sync"
 )
@@ -24,7 +25,9 @@ import (
 //	{"crc": <IEEE CRC-32 of the row bytes>, "row": <Row JSON>}
 //
 // A torn tail (the line being written when the process died) fails
-// JSON parsing or the CRC and is skipped; everything before it loads.
+// JSON parsing or the CRC and is skipped; everything before it loads,
+// and reopening ends the torn line so the rows appended after it stay
+// readable.
 
 // ckLine is one checkpoint record on the wire.
 type ckLine struct {
@@ -80,14 +83,33 @@ func OpenCheckpoint(path string) (*Checkpoint, error) {
 		// tail — keep what loaded.
 		ck.Skipped++
 	}
-	// Append after whatever we just read (including any torn tail; new
-	// lines start fresh after it and their CRCs keep them readable).
-	if _, err := f.Seek(0, 2); err != nil {
+	// Append after whatever we just read. A torn tail is terminated
+	// first, so the next row starts a line of its own instead of being
+	// glued onto the torn bytes.
+	if err := endLine(f); err != nil {
 		f.Close()
 		return nil, err
 	}
 	ck.w = bufio.NewWriter(f)
 	return ck, nil
+}
+
+// endLine seeks f to its end and writes a newline there when the file
+// ends mid-line.
+func endLine(f *os.File) error {
+	end, err := f.Seek(0, io.SeekEnd)
+	if err != nil || end == 0 {
+		return err
+	}
+	last := make([]byte, 1)
+	if _, err := f.ReadAt(last, end-1); err != nil {
+		return err
+	}
+	if last[0] == '\n' {
+		return nil
+	}
+	_, err = f.Write([]byte{'\n'})
+	return err
 }
 
 // Len returns the number of rows loaded from the file plus those

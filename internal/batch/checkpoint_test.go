@@ -169,7 +169,6 @@ func TestCheckpointTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ck2.Close()
 	if ck2.Len() != 5 || ck2.Skipped != 1 {
 		t.Fatalf("torn checkpoint: len %d skipped %d, want 5/1", ck2.Len(), ck2.Skipped)
 	}
@@ -180,6 +179,19 @@ func TestCheckpointTornTail(t *testing.T) {
 	}
 	if calls.Load() != 1 {
 		t.Fatalf("resume after torn tail solved %d rows, want 1", calls.Load())
+	}
+	// The row recorded after the tear starts a line of its own, so it
+	// survives the next reopen.
+	if err := ck2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ck3, err := OpenCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ck3.Close()
+	if ck3.Len() != 6 || ck3.Skipped != 1 {
+		t.Fatalf("reopened after resume: len %d skipped %d, want 6/1", ck3.Len(), ck3.Skipped)
 	}
 }
 

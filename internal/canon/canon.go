@@ -153,15 +153,23 @@ func Key(inst *ise.Instance) uint64 { return Canonicalize(inst).Key }
 // Decanonicalize maps a schedule for the canonical instance back to a
 // schedule for the original instance: every calibration and placement
 // is translated by +Shift and placement job IDs are rewritten through
-// OriginalIDs. The input schedule is not modified.
+// OriginalIDs. A placement of a job the canonical instance lacks gets
+// job ID -1, which ise.Validate rejects: a cached schedule is input,
+// and a bad one must fail validation rather than crash its reader. The
+// input schedule is not modified.
 func (c *Canonical) Decanonicalize(s *ise.Schedule) *ise.Schedule {
 	out := s.Clone()
 	for i := range out.Calibrations {
 		out.Calibrations[i].Start += c.Shift
 	}
 	for i := range out.Placements {
-		out.Placements[i].Start += c.Shift
-		out.Placements[i].Job = c.OriginalIDs[out.Placements[i].Job]
+		p := &out.Placements[i]
+		p.Start += c.Shift
+		if uint(p.Job) < uint(len(c.OriginalIDs)) {
+			p.Job = c.OriginalIDs[p.Job]
+		} else {
+			p.Job = -1
+		}
 	}
 	return out
 }

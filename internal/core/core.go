@@ -91,9 +91,6 @@ type Result struct {
 	// a decomposition gap, the sum lower-bounds the optimal TISE
 	// calibration count exactly as the monolithic objective does.
 	LPObjective float64
-	// Parts holds the per-component results on the decomposed path
-	// (nil otherwise); Parts[i].Schedule uses component-local job IDs.
-	Parts []*Result
 }
 
 // Solve runs the combined algorithm. The two sub-algorithms run on
@@ -102,31 +99,14 @@ type Result struct {
 // first decomposed into independent time components (see
 // internal/decomp) solved concurrently.
 func Solve(inst *ise.Instance, opts Options) (*Result, error) {
-	if err := inst.Validate(); err != nil {
+	gamma, sp, err := begin(inst, &opts, "solve")
+	if err != nil {
 		return nil, err
 	}
-	gamma := opts.Gamma
-	if gamma == 0 {
-		gamma = shortwin.Gamma
-	}
-	if gamma < 2 {
-		return nil, fmt.Errorf("core: gamma = %d, want >= 2", gamma)
-	}
-	tr, met := opts.Trace, opts.Metrics
-	if tr == nil {
-		tr = obs.DefaultTrace()
-	}
-	if met == nil {
-		met = obs.Default()
-	}
-	obs.Declare(met)
-	sp := tr.Root().Start("solve")
-	sp.SetInt("jobs", int64(inst.N()))
-	sp.SetInt("machines", int64(inst.M))
 	sp.SetInt("gamma", int64(gamma))
+	met := opts.Metrics
 	t0 := time.Now()
 	var res *Result
-	var err error
 	if opts.Parallelism > 0 {
 		dsp := sp.Start("decompose")
 		comps := decomp.Split(inst)
@@ -152,6 +132,34 @@ func Solve(inst *ise.Instance, opts Options) (*Result, error) {
 	sp.End()
 	met.Histogram(obs.MSolveSeconds, nil).Observe(time.Since(t0).Seconds())
 	return res, nil
+}
+
+// begin is the prologue Solve and SolveRobust share: it validates the
+// instance and the window threshold, resolves the telemetry sinks into
+// opts.Trace and opts.Metrics (the process defaults when nil), and
+// opens the root span, name, tagged with the instance's size.
+func begin(inst *ise.Instance, opts *Options, name string) (gamma int, sp *obs.Span, err error) {
+	if err := inst.Validate(); err != nil {
+		return 0, nil, err
+	}
+	gamma = opts.Gamma
+	if gamma == 0 {
+		gamma = shortwin.Gamma
+	}
+	if gamma < 2 {
+		return 0, nil, fmt.Errorf("core: gamma = %d, want >= 2", gamma)
+	}
+	if opts.Trace == nil {
+		opts.Trace = obs.DefaultTrace()
+	}
+	if opts.Metrics == nil {
+		opts.Metrics = obs.Default()
+	}
+	obs.Declare(opts.Metrics)
+	sp = opts.Trace.Root().Start(name)
+	sp.SetInt("jobs", int64(inst.N()))
+	sp.SetInt("machines", int64(inst.M))
+	return gamma, sp, nil
 }
 
 // solveMono is the single-component pipeline: partition long/short,
@@ -332,7 +340,7 @@ func solveDecomposed(comps []decomp.Component, opts Options, gamma int, parent *
 	if err != nil {
 		return nil, err
 	}
-	agg := &Result{Components: len(comps), Parts: parts}
+	agg := &Result{Components: len(comps)}
 	schedules := make([]*ise.Schedule, len(parts))
 	for i, part := range parts {
 		schedules[i] = part.Schedule

@@ -97,9 +97,6 @@ func TestParallelMatchesMonolithicObjective(t *testing.T) {
 			t.Fatalf("trial %d: LP objective mono %v != decomposed sum %v",
 				trial, mono.LPObjective, par.LPObjective)
 		}
-		if len(par.Parts) != par.Components {
-			t.Fatalf("trial %d: Parts has %d entries, want %d", trial, len(par.Parts), par.Components)
-		}
 	}
 }
 
@@ -112,7 +109,7 @@ func TestParallelNoGapFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Components != 1 || res.Parts != nil {
+	if res.Components != 1 {
 		t.Fatalf("expected monolithic fallback, got %d components", res.Components)
 	}
 }

@@ -11,30 +11,16 @@ import (
 	"calib/internal/ise"
 	"calib/internal/obs"
 	"calib/internal/robust"
-	"calib/internal/shortwin"
 )
 
-// RobustOptions configures SolveRobust. The embedded Options carry the
-// pipeline configuration (MM box, idle trimming, gamma, parallelism,
-// telemetry, fault injection) and — crucially — the Control whose
-// deadline/budget drive the degradation ladder.
-type RobustOptions struct {
-	Options
-	// ExactJobs gates the exact rung: a component is attempted exactly
-	// only when it has at most this many jobs (branch-and-bound is
-	// exponential). 0 means 12; negative disables the exact rung.
-	ExactJobs int
-	// ExactNodes caps the exact rung's search tree per component; 0
-	// means 500_000. The cap makes the rung fail fast (and fall to the
-	// LP rung) on adversarial components instead of eating the whole
-	// deadline.
-	ExactNodes int
-}
-
-// defaults for RobustOptions.
+// The exact rung's gate: a component is searched exactly only when it
+// has at most exactJobs jobs (branch and bound is exponential), and
+// the search is capped at exactNodes nodes, so the rung fails fast
+// (and falls to the LP rung) on adversarial components instead of
+// eating the whole deadline.
 const (
-	defaultExactJobs  = 12
-	defaultExactNodes = 500_000
+	exactJobs  = 12
+	exactNodes = 500_000
 )
 
 // rung deadline slices: exact may burn at most half the remaining
@@ -85,15 +71,13 @@ type RobustResult struct {
 	// Degraded reports whether any component fell past its first
 	// eligible rung.
 	Degraded bool
-	// UpperBound is Schedule.NumCalibrations(): the certificate that a
-	// feasible schedule with this many calibrations exists.
-	UpperBound int
 	// LowerBound sums the per-component lower bounds. Components
 	// answered by the heuristic rung contribute 0, so the bound is
 	// valid (if weak) under any degradation.
 	LowerBound float64
 	// Exact reports that every component was answered by a completed
-	// exact search, making UpperBound the true optimum.
+	// exact search, making Schedule's calibration count the true
+	// optimum.
 	Exact bool
 }
 
@@ -161,7 +145,7 @@ type componentAnswer struct {
 // component descends a rung ladder until one answers:
 //
 //	exact — branch and bound (only for components with at most
-//	        ExactJobs jobs); answers only with a completed proof;
+//	        exactJobs jobs); answers only with a completed proof;
 //	lp    — the paper's LP + rounding pipeline (Solve's solveMono);
 //	heur  — the lazy-binning heuristic with an uncapped machine
 //	        budget, run without a control so it answers even after
@@ -171,42 +155,19 @@ type componentAnswer struct {
 // fails numerically falls to the next (recorded in
 // robust_fallback_total); a hard caller cancellation aborts the whole
 // solve. Each component keeps the strongest certificate its answering
-// rung provides, and the merged result reports global upper and lower
-// bounds on the calibration count.
+// rung provides, and the merged result reports a global lower bound
+// on the calibration count beside the schedule.
 //
 // The price of degradation is machines, not feasibility: the heur rung
 // may use more than inst.M machines (Schedule.Machines says how many),
 // mirroring the paper's own machine-augmentation guarantees.
-func SolveRobust(inst *ise.Instance, opts RobustOptions) (*RobustResult, error) {
-	if err := inst.Validate(); err != nil {
+func SolveRobust(inst *ise.Instance, opts Options) (*RobustResult, error) {
+	gamma, sp, err := begin(inst, &opts, "solve_robust")
+	if err != nil {
 		return nil, err
 	}
-	gamma := opts.Gamma
-	if gamma == 0 {
-		gamma = Gamma()
-	}
-	if gamma < 2 {
-		return nil, fmt.Errorf("core: gamma = %d, want >= 2", gamma)
-	}
-	if opts.ExactJobs == 0 {
-		opts.ExactJobs = defaultExactJobs
-	}
-	if opts.ExactNodes == 0 {
-		opts.ExactNodes = defaultExactNodes
-	}
-	tr, met := opts.Trace, opts.Metrics
-	if tr == nil {
-		tr = obs.DefaultTrace()
-	}
-	if met == nil {
-		met = obs.Default()
-	}
-	obs.Declare(met)
-	opts.Metrics = met
-	sp := tr.Root().Start("solve_robust")
 	defer sp.End()
-	sp.SetInt("jobs", int64(inst.N()))
-	sp.SetInt("machines", int64(inst.M))
+	met := opts.Metrics
 	t0 := time.Now()
 	comps := decomp.Split(inst)
 	if len(comps) == 0 {
@@ -218,7 +179,7 @@ func SolveRobust(inst *ise.Instance, opts RobustOptions) (*RobustResult, error) 
 	met.Gauge(obs.MDecompComponents).Set(float64(len(comps)))
 
 	reports := make([]ComponentReport, len(comps))
-	err := runPool(len(comps), opts.Parallelism, sp, met, func(i int, csp *obs.Span) (err error) {
+	err = runPool(len(comps), opts.Parallelism, sp, met, func(i int, csp *obs.Span) (err error) {
 		reports[i], err = solveComponentRobust(i, comps[i], opts, gamma, csp, met)
 		return err
 	})
@@ -238,8 +199,7 @@ func SolveRobust(inst *ise.Instance, opts RobustOptions) (*RobustResult, error) 
 	}
 	out.Schedule = mergeComponents(comps, schedules)
 	out.Reports = reports
-	out.UpperBound = out.Schedule.NumCalibrations()
-	sp.SetInt("calibrations", int64(out.UpperBound))
+	sp.SetInt("calibrations", int64(out.Schedule.NumCalibrations()))
 	met.Histogram(obs.MSolveSeconds, nil).Observe(time.Since(t0).Seconds())
 	return out, nil
 }
@@ -248,7 +208,7 @@ func SolveRobust(inst *ise.Instance, opts RobustOptions) (*RobustResult, error) 
 // converts the winning rung's answer into a report. Panics anywhere in
 // a rung are contained by RunLadder; the pool's task wrapper contains
 // the rest.
-func solveComponentRobust(i int, comp decomp.Component, opts RobustOptions, gamma int, csp *obs.Span, met *obs.Registry) (ComponentReport, error) {
+func solveComponentRobust(i int, comp decomp.Component, opts Options, gamma int, csp *obs.Span, met *obs.Registry) (ComponentReport, error) {
 	csp.SetInt("jobs", int64(comp.Inst.N()))
 	res, err := robust.RunLadder(opts.Control, met, i, componentRungs(comp.Inst, opts, gamma, csp, met))
 	if err != nil {
@@ -270,15 +230,15 @@ func solveComponentRobust(i int, comp decomp.Component, opts RobustOptions, gamm
 
 // componentRungs builds the exact→lp→heur ladder for one component
 // sub-instance.
-func componentRungs(inst *ise.Instance, opts RobustOptions, gamma int, parent *obs.Span, met *obs.Registry) []robust.Rung {
+func componentRungs(inst *ise.Instance, opts Options, gamma int, parent *obs.Span, met *obs.Registry) []robust.Rung {
 	var rungs []robust.Rung
-	if opts.ExactJobs > 0 && inst.N() <= opts.ExactJobs {
+	if inst.N() <= exactJobs {
 		rungs = append(rungs, robust.Rung{
 			Name:  "exact",
 			Slice: exactSlice,
 			Run: func(c *robust.Control) (any, error) {
 				res, err := exact.Solve(inst, exact.Options{
-					MaxNodes: opts.ExactNodes, WarmStart: true, Control: c,
+					MaxNodes: exactNodes, WarmStart: true, Control: c,
 				})
 				if res != nil {
 					// Every attempt's search counts: proven, capped or
@@ -305,7 +265,7 @@ func componentRungs(inst *ise.Instance, opts RobustOptions, gamma int, parent *o
 			Name:  "lp",
 			Slice: lpSlice,
 			Run: func(c *robust.Control) (any, error) {
-				mono := opts.Options
+				mono := opts
 				mono.Control = c
 				res, err := solveMono(inst, mono, gamma, parent, met)
 				if err != nil {
@@ -332,8 +292,3 @@ func componentRungs(inst *ise.Instance, opts RobustOptions, gamma int, parent *o
 	)
 	return rungs
 }
-
-// Gamma returns the default long/short window threshold (the paper's
-// gamma = 2), re-exported so RobustOptions callers need not import
-// shortwin.
-func Gamma() int { return shortwin.Gamma }

@@ -49,7 +49,7 @@ func TestPoolPanicContained(t *testing.T) {
 			return err
 		}},
 		{"SolveRobust", func() error {
-			_, err := SolveRobust(inst, RobustOptions{Options: Options{Parallelism: 2, Metrics: obs.NewRegistry()}})
+			_, err := SolveRobust(inst, Options{Parallelism: 2, Metrics: obs.NewRegistry()})
 			return err
 		}},
 	} {
@@ -93,7 +93,7 @@ func TestSolveRobustExactSmall(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	inst, _ := workload.Clustered(rng, 3, 4, 1, 10)
 	met := obs.NewRegistry()
-	res, err := SolveRobust(inst, RobustOptions{Options: Options{Metrics: met}})
+	res, err := SolveRobust(inst, Options{Metrics: met})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +108,8 @@ func TestSolveRobustExactSmall(t *testing.T) {
 			t.Fatalf("component %d answered by %q, want exact", rep.Component, rep.Rung)
 		}
 	}
-	if float64(res.UpperBound) != res.LowerBound {
-		t.Fatalf("exact answer but bounds differ: upper %d, lower %v", res.UpperBound, res.LowerBound)
+	if float64(res.Schedule.NumCalibrations()) != res.LowerBound {
+		t.Fatalf("exact answer but bounds differ: upper %d, lower %v", res.Schedule.NumCalibrations(), res.LowerBound)
 	}
 	if n := fallbackCount(met); n != 0 {
 		t.Fatalf("robust_fallback_total = %d on an undegraded solve", n)
@@ -120,9 +120,9 @@ func TestSolveRobustExactSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ex.Proven || ex.Calibrations != res.UpperBound {
+	if !ex.Proven || ex.Calibrations != res.Schedule.NumCalibrations() {
 		t.Fatalf("SolveRobust says %d calibrations, exact oracle says %d (proven=%v)",
-			res.UpperBound, ex.Calibrations, ex.Proven)
+			res.Schedule.NumCalibrations(), ex.Calibrations, ex.Proven)
 	}
 }
 
@@ -138,7 +138,7 @@ func TestSolveRobustDegradesOnExpiredDeadline(t *testing.T) {
 	defer cancel()
 	<-ctx.Done() // deadline definitely expired
 	ctl := robust.NewControl(ctx, 0, met)
-	res, err := SolveRobust(inst, RobustOptions{Options: Options{Metrics: met, Control: ctl}})
+	res, err := SolveRobust(inst, Options{Metrics: met, Control: ctl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,15 +163,20 @@ func TestSolveRobustDegradesOnExpiredDeadline(t *testing.T) {
 // still answers.
 func TestSolveRobustBudgetDegrades(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	inst, _ := workload.Clustered(rng, 2, 6, 2, 10)
+	inst, _ := workload.Clustered(rng, 2, 20, 2, 10)
 	met := obs.NewRegistry()
 	ctl := robust.NewControl(context.Background(), 1, met) // one work unit total
-	// Disable the exact rung: tiny searches can finish inside one check
-	// cadence without ever touching the budget; the LP rung charges
-	// every pivot and trips immediately.
-	res, err := SolveRobust(inst, RobustOptions{Options: Options{Metrics: met, Control: ctl}, ExactJobs: -1})
+	// Components past the exact rung's gate: tiny searches can finish
+	// inside one check cadence without ever touching the budget; the
+	// LP rung charges every pivot and trips immediately.
+	res, err := SolveRobust(inst, Options{Metrics: met, Control: ctl})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, rep := range res.Reports {
+		if rep.Jobs <= exactJobs {
+			t.Fatalf("component %d has %d jobs, within the exact rung's gate", rep.Component, rep.Jobs)
+		}
 	}
 	if err := ise.Validate(inst, res.Schedule); err != nil {
 		t.Fatalf("degraded schedule infeasible: %v", err)
@@ -201,7 +206,7 @@ func TestSolveRobustHardCancelAborts(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ctl := robust.NewControl(ctx, 0, obs.NewRegistry())
-	_, err := SolveRobust(inst, RobustOptions{Options: Options{Control: ctl}})
+	_, err := SolveRobust(inst, Options{Control: ctl})
 	if err == nil {
 		t.Fatal("expected cancellation error")
 	}
@@ -217,7 +222,7 @@ func TestSolveRobustParallelDeterministic(t *testing.T) {
 	inst, _ := workload.Clustered(rng, 4, 4, 1, 10)
 	var want *ise.Schedule
 	for _, par := range []int{1, 2, 8} {
-		res, err := SolveRobust(inst, RobustOptions{Options: Options{Parallelism: par, Metrics: obs.NewRegistry()}})
+		res, err := SolveRobust(inst, Options{Parallelism: par, Metrics: obs.NewRegistry()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,8 +59,7 @@ type Options struct {
 	// into the search (one node = one work unit, charged in batches of
 	// checkNodes). When it trips, Solve unwinds and returns the best
 	// schedule found so far (Proven=false) alongside the taxonomy
-	// error; Result.Stopped carries the same error. nil means no
-	// limits.
+	// error. nil means no limits.
 	Control *robust.Control
 }
 
@@ -82,10 +81,6 @@ type Result struct {
 	Proven bool
 	// Nodes is the number of search nodes expanded.
 	Nodes int
-	// Stopped is non-nil when the solve's Control tripped (cancellation,
-	// deadline, or budget); Schedule then holds the best incumbent found
-	// before the stop, if any.
-	Stopped error
 }
 
 // machine is one machine's ordered calibration groups.
@@ -169,7 +164,7 @@ func newSearcher(inst *ise.Instance, opts Options) (*searcher, *Result, error) {
 	}
 	s.check = opts.Control.CheckFunc("exact")
 	if err := opts.Control.ErrPhase("exact"); err != nil {
-		return nil, &Result{Stopped: err}, err
+		return nil, &Result{}, err
 	}
 	if opts.WarmStart {
 		if ws, err := heur.Lazy(inst, heur.Options{MaxMachines: inst.M}); err == nil {
@@ -220,7 +215,7 @@ func newSearcher(inst *ise.Instance, opts Options) (*searcher, *Result, error) {
 func (s *searcher) result() (*Result, error) {
 	inst, warm := s.inst, s.warm
 	if s.stopErr != nil {
-		res := &Result{Proven: false, Nodes: s.nodes, Stopped: s.stopErr}
+		res := &Result{Proven: false, Nodes: s.nodes}
 		if s.best != nil {
 			if sched, err := buildSchedule(inst, s.best); err == nil {
 				res.Schedule, res.Calibrations = sched, s.bestC

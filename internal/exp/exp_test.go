@@ -91,7 +91,7 @@ func TestFigure3(t *testing.T) {
 // clean pass is a real property check.
 func TestExperimentsQuick(t *testing.T) {
 	cfg := Config{Trials: 2, Quick: true}
-	tables := All(cfg)
+	tables := AllParallel(cfg, 1)
 	if len(tables) != 14 {
 		t.Fatalf("expected 14 tables, got %d", len(tables))
 	}
@@ -141,7 +141,7 @@ func TestT10MatchesResults(t *testing.T) {
 // byte-identical tables.
 func TestAllParallelMatchesSequential(t *testing.T) {
 	cfg := Config{Trials: 1, Quick: true}
-	seq := All(cfg)
+	seq := AllParallel(cfg, 1)
 	par := AllParallel(cfg, 4)
 	if len(seq) != len(par) {
 		t.Fatalf("table counts differ: %d vs %d", len(seq), len(par))

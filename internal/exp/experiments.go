@@ -30,9 +30,6 @@ type Config struct {
 	Quick bool
 }
 
-// DefaultConfig returns the full-suite configuration.
-func DefaultConfig() Config { return Config{Trials: 5} }
-
 func (c Config) trials() int {
 	if c.Trials <= 0 {
 		return 5
@@ -747,9 +744,10 @@ func T14Online(cfg Config) *Table {
 	return t
 }
 
-// AllParallel runs the full suite with the given number of workers.
-// Every experiment owns its RNG (fixed seed), so the tables are
-// identical to a sequential run; only wall clock changes.
+// AllParallel runs the full suite with the given number of workers
+// and returns the tables in suite order. Every experiment owns its RNG
+// (fixed seed), so the tables do not depend on the worker count; only
+// wall clock changes.
 func AllParallel(cfg Config, workers int) []*Table {
 	runs := []func(Config) *Table{
 		T1LongWindow, T2SpeedTrade, T3ShortWindow, T4EndToEnd,
@@ -774,24 +772,4 @@ func AllParallel(cfg Config, workers int) []*Table {
 	}
 	wg.Wait()
 	return out
-}
-
-// All runs the full experiment suite in order.
-func All(cfg Config) []*Table {
-	return []*Table{
-		T1LongWindow(cfg),
-		T2SpeedTrade(cfg),
-		T3ShortWindow(cfg),
-		T4EndToEnd(cfg),
-		T5UnitBaselines(cfg),
-		T6LPEngines(cfg),
-		T7Crossing(cfg),
-		T8Scaling(cfg),
-		T9Practical(cfg),
-		T10IntegralityGap(cfg),
-		T11GammaSweep(cfg),
-		T12Utilization(cfg),
-		T13HeuristicAblation(cfg),
-		T14Online(cfg),
-	}
 }

@@ -45,8 +45,6 @@ type Config struct {
 	// RetryAfter is the hint returned when every candidate node
 	// refused or failed (0 = 1s).
 	RetryAfter time.Duration
-	// MaxBody bounds router-side request bodies in bytes (0 = 16 MiB).
-	MaxBody int64
 	// Replication is the replication factor: how many ring-successive
 	// nodes (the owner included) hold each solved key's cached result.
 	// 0 or 1 disables replication entirely — byte-for-byte today's
@@ -73,6 +71,10 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// maxBody bounds router-side request bodies, and the solve responses
+// the router buffers for replication, in bytes.
+const maxBody = 16 << 20
+
 func (c Config) withDefaults() Config {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
@@ -88,9 +90,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.MaxBody <= 0 {
-		c.MaxBody = 16 << 20
 	}
 	if c.HintCap <= 0 {
 		c.HintCap = 512

@@ -313,11 +313,11 @@ func (rt *Router) relayHeaders(w http.ResponseWriter, resp *http.Response, n, ow
 // not replicated.
 func (rt *Router) relayReplicating(w http.ResponseWriter, resp *http.Response, n, owner *Node, route string, key uint64, replicas []string, reqBody []byte) {
 	defer resp.Body.Close()
-	buf, err := io.ReadAll(io.LimitReader(resp.Body, rt.f.cfg.MaxBody+1))
+	buf, err := io.ReadAll(io.LimitReader(resp.Body, maxBody+1))
 	rt.relayHeaders(w, resp, n, owner, route)
 	w.WriteHeader(resp.StatusCode)
 	w.Write(buf)
-	if err == nil && int64(len(buf)) <= rt.f.cfg.MaxBody {
+	if err == nil && len(buf) <= maxBody {
 		rt.f.enqueueSolve(key, n.Name, replicas, reqBody, buf)
 	}
 }
@@ -448,7 +448,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // readJSON slurps the size-capped body into the pooled buffer and
 // decodes it from there (same shape as the backends' reader).
 func (rt *Router) readJSON(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer, decode func([]byte) error) error {
-	r.Body = http.MaxBytesReader(w, r.Body, rt.f.cfg.MaxBody)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
 	buf.Reset()
 	if _, err := buf.ReadFrom(r.Body); err != nil {
 		return fmt.Errorf("decoding request: %w", err)

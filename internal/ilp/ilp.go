@@ -22,9 +22,11 @@ import (
 type Options struct {
 	// MaxNodes caps the branch-and-bound tree (default 20000).
 	MaxNodes int
-	// Tol is the integrality tolerance (default 1e-6).
-	Tol float64
 }
+
+// tol is the integrality tolerance, also the margin by which a node's
+// bound must beat the incumbent.
+const tol = 1e-6
 
 // Result is the outcome of Solve.
 type Result struct {
@@ -56,10 +58,6 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 	maxNodes := opts.MaxNodes
 	if maxNodes == 0 {
 		maxNodes = 20000
-	}
-	tol := opts.Tol
-	if tol == 0 {
-		tol = 1e-6
 	}
 	res := &Result{Status: lp.Infeasible, Objective: math.Inf(1)}
 	isInt := make(map[int]bool, len(intVars))

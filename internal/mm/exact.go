@@ -14,12 +14,6 @@ import (
 // serves as the alpha = 1 black box and as the OPT oracle for the
 // experiments.
 type Exact struct {
-	// MaxNodes caps the search; 0 means a default of 5e6 nodes per
-	// feasibility check. When the cap is hit the check conservatively
-	// reports infeasible and Exact falls back to more machines, so the
-	// result is always feasible but may stop being exactly optimal on
-	// adversarial inputs.
-	MaxNodes int
 	// Control carries the solve's cancellation context and work budget
 	// into the search (one node = one work unit). A tripped control
 	// aborts the solve with its taxonomy error — unlike the node cap,
@@ -29,6 +23,12 @@ type Exact struct {
 
 // checkNodes is the dfs check cadence (nodes between Control polls).
 const checkNodes = 512
+
+// maxNodes caps each feasibility check's search. When the cap is hit
+// the check conservatively reports infeasible and Exact falls back to
+// more machines, so the result is always feasible but may stop being
+// exactly optimal on adversarial inputs.
+const maxNodes = 5_000_000
 
 // Name implements Solver.
 func (Exact) Name() string { return "exact-bb" }
@@ -42,13 +42,9 @@ func (e Exact) Solve(inst *ise.Instance) (*Schedule, error) {
 	if n == 0 {
 		return &Schedule{Machines: 1}, nil
 	}
-	cap := e.MaxNodes
-	if cap == 0 {
-		cap = 5_000_000
-	}
 	check := e.Control.CheckFunc("mm")
 	for m := LowerBound(inst); m <= n; m++ {
-		s, ok, err := searchFeasible(inst, m, cap, check)
+		s, ok, err := searchFeasible(inst, m, maxNodes, check)
 		if err != nil {
 			return nil, err
 		}
@@ -62,11 +58,7 @@ func (e Exact) Solve(inst *ise.Instance) (*Schedule, error) {
 // Feasible reports whether the jobs can be scheduled on m machines,
 // using the same complete search as Solve.
 func (e Exact) Feasible(inst *ise.Instance, m int) bool {
-	cap := e.MaxNodes
-	if cap == 0 {
-		cap = 5_000_000
-	}
-	_, ok, err := searchFeasible(inst, m, cap, e.Control.CheckFunc("mm"))
+	_, ok, err := searchFeasible(inst, m, maxNodes, e.Control.CheckFunc("mm"))
 	return ok && err == nil
 }
 

@@ -17,24 +17,18 @@ import (
 // y[j,s] are created for every integer start in [r_j, d_j - p_j]; the
 // LP minimizes the machine count m subject to unit assignment per job
 // and total overlap at most m at every event tick. Rounding samples a
-// start per job from its LP marginal, takes the best of Trials
+// start per job from its LP marginal, takes the best of lpTrials
 // samples, and colors the resulting interval graph greedily.
 //
 // LPRound falls back to Greedy's schedule if it beats the rounded one
 // (so the box never does worse than Greedy). The LP value is exposed
-// via SolveWithStats as a machine lower bound.
+// via SolveStats as a machine lower bound.
 //
 // The candidate start set is complete for integer inputs, so the LP is
 // a true relaxation; the variable count is O(n * maxSlack), which
-// limits this box to laptop-scale instances.
+// limits this box to laptop-scale instances: above lpMaxVars variables
+// it answers with Greedy's schedule.
 type LPRound struct {
-	// Trials is the number of rounding samples (default 32).
-	Trials int
-	// Seed seeds the rounding RNG (default 1).
-	Seed int64
-	// MaxVars caps the LP size; above it Solve falls back to Greedy
-	// (default 20000).
-	MaxVars int
 	// Metrics receives the mm_* counter series (see internal/obs);
 	// nil disables telemetry at zero cost.
 	Metrics *obs.Registry
@@ -53,13 +47,13 @@ func (l LPRound) Solve(inst *ise.Instance) (*Schedule, error) {
 	return s, err
 }
 
-// SolveWithStats returns the LP objective (fractional machine count, a
-// lower bound on OPT), or 0 when the LP was skipped. Thin wrapper over
-// SolveStats, kept for the experiment tables.
-func (l LPRound) SolveWithStats(inst *ise.Instance) (*Schedule, float64, error) {
-	s, st, err := l.SolveStats(inst)
-	return s, st.LPObjective, err
-}
+// LPRound's constants: the rounding samples drawn, the seed of their
+// RNG, and the LP size above which the box answers with Greedy.
+const (
+	lpTrials  = 32
+	lpSeed    = 1
+	lpMaxVars = 20000
+)
 
 // SolveStats is Solve with the full solve statistics.
 func (l LPRound) SolveStats(inst *ise.Instance) (*Schedule, Stats, error) {
@@ -71,14 +65,6 @@ func (l LPRound) SolveStats(inst *ise.Instance) (*Schedule, Stats, error) {
 		return &Schedule{Machines: 1}, st, nil
 	}
 	met := l.Metrics
-	trials := l.Trials
-	if trials == 0 {
-		trials = 32
-	}
-	maxVars := l.MaxVars
-	if maxVars == 0 {
-		maxVars = 20000
-	}
 	greedy, err := Greedy{}.Solve(inst)
 	if err != nil {
 		return nil, st, err
@@ -89,7 +75,7 @@ func (l LPRound) SolveStats(inst *ise.Instance) (*Schedule, Stats, error) {
 	for _, j := range inst.Jobs {
 		nvars += int(j.Slack()) + 1
 	}
-	if nvars > maxVars {
+	if nvars > lpMaxVars {
 		st.Skipped = true
 		met.Counter(obs.MMMLPSkipped).Inc()
 		return greedy, st, nil
@@ -146,9 +132,9 @@ func (l LPRound) SolveStats(inst *ise.Instance) (*Schedule, Stats, error) {
 	met.Counter(obs.MLPPivots).Add(int64(sol.Iterations))
 	st.LPObjective = sol.Objective
 
-	rng := rand.New(rand.NewSource(l.Seed + 1))
+	rng := rand.New(rand.NewSource(lpSeed))
 	best := greedy
-	for trial := 0; trial < trials; trial++ {
+	for trial := 0; trial < lpTrials; trial++ {
 		starts := make([]ise.Time, inst.N())
 		for id := range inst.Jobs {
 			starts[id] = sampleStart(rng, sol.X, cands, perJob[id])
@@ -157,8 +143,8 @@ func (l LPRound) SolveStats(inst *ise.Instance) (*Schedule, Stats, error) {
 			best = s
 		}
 	}
-	st.Trials = trials
-	met.Counter(obs.MMMTrials).Add(int64(trials))
+	st.Trials = lpTrials
+	met.Counter(obs.MMMTrials).Add(lpTrials)
 	return best, st, nil
 }
 

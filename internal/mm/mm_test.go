@@ -75,7 +75,7 @@ func TestExactNeedsNonEDDOrder(t *testing.T) {
 
 func TestSolversOnPlanted(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	solvers := []Solver{Greedy{}, Exact{}, LPRound{Trials: 8}}
+	solvers := []Solver{Greedy{}, Exact{}, LPRound{}}
 	for trial := 0; trial < 12; trial++ {
 		m := 1 + rng.Intn(3)
 		inst, _ := workload.Planted(rng, workload.PlantedConfig{
@@ -109,7 +109,7 @@ func TestSolversOnPlanted(t *testing.T) {
 			}
 		}
 		// Heuristics can't beat Exact.
-		for _, sv := range []Solver{Greedy{}, LPRound{Trials: 8}} {
+		for _, sv := range []Solver{Greedy{}, LPRound{}} {
 			s, _ := sv.Solve(inst)
 			if s.Machines < exactM {
 				t.Errorf("trial %d: %s used %d machines, below optimum %d", trial, sv.Name(), s.Machines, exactM)
@@ -129,12 +129,12 @@ func TestLPRoundLowerBoundConsistent(t *testing.T) {
 	if inst.N() == 0 {
 		t.Skip("empty instance")
 	}
-	s, lpVal, err := (LPRound{Trials: 8}).SolveWithStats(inst)
+	s, st, err := (LPRound{}).SolveStats(inst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lpVal > float64(s.Machines)+1e-6 {
-		t.Errorf("LP value %v exceeds rounded machines %d", lpVal, s.Machines)
+	if st.LPObjective > float64(s.Machines)+1e-6 {
+		t.Errorf("LP value %v exceeds rounded machines %d", st.LPObjective, s.Machines)
 	}
 	if err := Validate(inst, s); err != nil {
 		t.Errorf("schedule invalid: %v", err)

@@ -46,10 +46,9 @@ func WithControl(s Solver, ctl *robust.Control) Solver {
 }
 
 // Stats is the per-solve statistics of the LP-based MM box. LPRound
-// produces it from SolveStats (SolveWithStats remains as a thin
-// wrapper) and feeds the same numbers to the obs.Registry configured
-// on the box, so experiment tables and the metrics endpoint can never
-// disagree.
+// produces it from SolveStats and feeds the same numbers to the
+// obs.Registry configured on the box, so the statistics and the
+// metrics endpoint can never disagree.
 type Stats struct {
 	// LPObjective is the fractional machine lower bound (LPRound's
 	// relaxation optimum); 0 when the LP was skipped or failed.
@@ -58,7 +57,7 @@ type Stats struct {
 	LPSolves int
 	// Trials counts randomized-rounding samples drawn.
 	Trials int
-	// Skipped reports that the instance exceeded MaxVars and the box
-	// fell back to Greedy without building an LP.
+	// Skipped reports that the instance exceeded LPRound's variable cap
+	// (20 000) and the box fell back to Greedy without building an LP.
 	Skipped bool
 }

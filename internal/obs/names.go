@@ -67,7 +67,7 @@ const (
 
 	// internal/mm — machine-minimization LP box.
 	MMMLPSolves  = "mm_lp_solves_total"       // LP relaxation solves (LPRound)
-	MMMLPSkipped = "mm_lp_skipped_total"      // instances over MaxVars that fell back to Greedy
+	MMMLPSkipped = "mm_lp_skipped_total"      // instances over the LP size cap that fell back to Greedy
 	MMMTrials    = "mm_rounding_trials_total" // randomized rounding samples drawn
 
 	// internal/server — request flight recorder and trace-log export.
@@ -294,7 +294,7 @@ var helpText = map[string]string{
 	MBatchDedup:         "Batch rows replayed from a canonical twin's solve.",
 
 	MMMLPSolves:  "Machine-minimization LP relaxation solves.",
-	MMMLPSkipped: "Instances over MaxVars that fell back to Greedy.",
+	MMMLPSkipped: "Instances over the LP size cap that fell back to Greedy.",
 	MMMTrials:    "Randomized rounding samples drawn.",
 
 	MFlightRecords:     "Decision records captured by the request flight recorder.",

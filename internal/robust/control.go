@@ -52,6 +52,25 @@ func NewControl(ctx context.Context, budget int64, met *obs.Registry) *Control {
 	}
 }
 
+// NewTimedControl is NewControl for one solve under a wall-clock
+// timeout (<= 0 means none) layered on ctx (nil means
+// context.Background). met nil means the process default registry.
+// The returned cancel must be called when the solve finishes; both
+// returns are no-ops when no limit is set.
+func NewTimedControl(ctx context.Context, timeout time.Duration, budget int64, met *obs.Registry) (*Control, context.CancelFunc) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	cancel := context.CancelFunc(func() {})
+	if timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+	}
+	if met == nil {
+		met = obs.Default()
+	}
+	return NewControl(ctx, budget, met), cancel
+}
+
 // Context returns the control's context (context.Background for nil).
 func (c *Control) Context() context.Context {
 	if c == nil {

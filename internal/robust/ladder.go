@@ -51,9 +51,6 @@ type LadderResult struct {
 	Attempts []Attempt
 }
 
-// Degraded reports whether any rung above the answering one failed.
-func (r *LadderResult) Degraded() bool { return len(r.Attempts) > 0 }
-
 // RunLadder runs the rungs in order under c until one answers. A rung
 // that times out, exhausts the budget, proves its own infeasibility,
 // fails numerically, or panics falls through to the next — each fall

@@ -155,6 +155,36 @@ func TestCacheEntriesTransferStream(t *testing.T) {
 	}
 }
 
+// TestCacheEntriesTransferUnknownJob: a warm-transfer entry whose
+// placement names a job its instance lacks passes the entry's
+// structural checks and is stored, but every request for its key
+// answers 500 from validation instead of crashing in
+// de-canonicalization, and no solve runs.
+func TestCacheEntriesTransferUnknownJob(t *testing.T) {
+	_, ts, calls := countingServer(t)
+	inst := testInstance(0)
+	c := canon.Canonicalize(inst)
+	_, bad := unknownJobEntry(t, c)
+	resp, err := http.Post(ts.URL+"/v1/cache/entries", "application/octet-stream",
+		bytes.NewReader(transferStream(t, c.Key, bad)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := decode[api.CacheEntriesResponse](t, resp); out.Stored != 1 || out.Rejected != 0 {
+		t.Fatalf("transfer: %+v, want 1 stored", out)
+	}
+	for i := 0; i < 2; i++ {
+		resp := postJSON(t, ts.URL+"/v1/solve", api.SolveRequest{Instance: inst})
+		body := decode[api.Error](t, resp)
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(body.Error, "failed validation") {
+			t.Fatalf("solve %d: status %d, error %q; want 500 from validation", i, resp.StatusCode, body.Error)
+		}
+	}
+	if calls.Load() != 0 {
+		t.Fatalf("solver invoked %d times for a cached key", calls.Load())
+	}
+}
+
 // TestCacheEntriesLoopbackGuard: the auth-free transfer endpoint
 // refuses non-loopback peers unless CacheTransferOpen opts in.
 func TestCacheEntriesLoopbackGuard(t *testing.T) {

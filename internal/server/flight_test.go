@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -176,7 +177,7 @@ func TestFaultInjectedRequestIsLocatable(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// Too many jobs for the exact rung (ExactJobs = 12): the ladder
+	// Too many jobs for the exact rung (at most 12 jobs): the ladder
 	// descends to the LP rung, whose solveMono entry is where the
 	// solver-phase fault points fire.
 	inst := ise.NewInstance(10, 1)
@@ -430,6 +431,27 @@ func TestTraceLogTornTail(t *testing.T) {
 	}
 	if skipped != 1 {
 		t.Errorf("skipped = %d, want 1 torn line", skipped)
+	}
+	// Records appended after the tear start lines of their own.
+	tlog, err = OpenTraceLog(path, 0, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tlog.Append(&Record{ID: "c", Route: "solve", Status: 200, Outcome: "ok", TotalNS: 3})
+	tlog.Append(&Record{ID: "d", Route: "solve", Status: 200, Outcome: "ok", TotalNS: 4})
+	if err := tlog.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, skipped, err = ReadTraceLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, r := range recs {
+		ids = append(ids, r.ID)
+	}
+	if !slices.Equal(ids, []string{"a", "c", "d"}) || skipped != 1 {
+		t.Fatalf("after appending c and d: ids %v, skipped %d; want [a c d], 1", ids, skipped)
 	}
 }
 

@@ -82,10 +82,6 @@ type Config struct {
 	MaxTimeout time.Duration
 	// MaxBudget caps the per-solve work budget (0 = unlimited).
 	MaxBudget int64
-	// RetryAfter is the hint returned with 429 responses (0 = 1s).
-	RetryAfter time.Duration
-	// MaxBody bounds request bodies in bytes (0 = 16 MiB).
-	MaxBody int64
 	// Metrics receives the service_*, cache_* and solver series
 	// (nil = a private registry, so gauges still work).
 	Metrics *obs.Registry
@@ -125,6 +121,13 @@ type Config struct {
 	CacheTransferOpen bool
 }
 
+// maxBody bounds request bodies in bytes.
+const maxBody = 16 << 20
+
+// retryAfterSecs is the backoff hint, in seconds, that 429 responses
+// carry in the Retry-After header and the error body.
+const retryAfterSecs = 1
+
 func (c Config) withDefaults() Config {
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 256
@@ -146,12 +149,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 30 * time.Second
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.MaxBody <= 0 {
-		c.MaxBody = 16 << 20
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
@@ -325,7 +322,12 @@ func (s *Server) defaultSolve(ctx context.Context, inst *ise.Instance, timeout t
 		// /debug/requests/{id} and the trace share one ID space.
 		o.Trace = sp.Trace()
 	}
-	sol, err := calib.SolveRobust(inst, o)
+	return ResultOf(calib.SolveRobust(inst, o))
+}
+
+// ResultOf turns a robust ladder answer into the Result a
+// SolveFunc returns, passing err through.
+func ResultOf(sol *calib.RobustSolution, err error) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -712,7 +714,7 @@ func solveStatus(err error) int {
 // decodes it from there, so steady-state decoding reuses one arena
 // instead of allocating decoder state per request.
 func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer, decode func([]byte) error) error {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
 	buf.Reset()
 	if _, err := buf.ReadFrom(r.Body); err != nil {
 		return fmt.Errorf("decoding request: %w", err)
@@ -730,12 +732,8 @@ func (s *Server) fail(w http.ResponseWriter, errs *obs.Counter, status int, err 
 	errs.Inc()
 	body := &api.Error{Error: err.Error(), RequestID: id}
 	if status == http.StatusTooManyRequests {
-		secs := int((s.cfg.RetryAfter + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		body.RetryAfterSeconds = secs
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs))
+		body.RetryAfterSeconds = retryAfterSecs
 	}
 	writeJSON(w, status, body)
 }

@@ -132,7 +132,8 @@ func TestCacheServesEquivalentInstances(t *testing.T) {
 
 // TestShedsWith429AndRetryAfter: with one slot, no queue, and a
 // solver parked on a barrier, a second request must shed immediately
-// with 429, a Retry-After header, and a JSON body echoing the hint.
+// with 429, the fixed 1 s Retry-After header, and a JSON body echoing
+// the hint.
 func TestShedsWith429AndRetryAfter(t *testing.T) {
 	block := make(chan struct{})
 	entered := make(chan struct{})
@@ -146,7 +147,7 @@ func TestShedsWith429AndRetryAfter(t *testing.T) {
 		return &Result{Schedule: sched, Calibrations: sched.NumCalibrations(), MachinesUsed: sched.MachinesUsed()}, nil
 	}
 	reg := obs.NewRegistry()
-	srv := New(Config{MaxInFlight: 1, MaxQueue: -1, Solve: slow, Metrics: reg, RetryAfter: 3 * time.Second})
+	srv := New(Config{MaxInFlight: 1, MaxQueue: -1, Solve: slow, Metrics: reg})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -164,11 +165,11 @@ func TestShedsWith429AndRetryAfter(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "3" {
-		t.Fatalf("Retry-After = %q, want \"3\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After = %q, want \"1\"", ra)
 	}
 	body := decode[api.Error](t, resp)
-	if body.RetryAfterSeconds != 3 || body.Error == "" {
+	if body.RetryAfterSeconds != 1 || body.Error == "" {
 		t.Fatalf("shed body = %+v", body)
 	}
 	if shed := reg.Counter(obs.MServiceShed).Value(); shed != 1 {

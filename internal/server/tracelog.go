@@ -52,13 +52,15 @@ type traceLine struct {
 const flushEvery = 200 * time.Millisecond
 
 // OpenTraceLog opens (appending) the trace log at path. maxBytes <= 0
-// disables rotation. met receives the trace_log_* series.
+// disables rotation. met receives the trace_log_* series. A file that
+// ends mid-line (a torn tail) is terminated first, so the next record
+// starts a line of its own.
 func OpenTraceLog(path string, maxBytes int64, met *obs.Registry) (*TraceLog, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	st, err := f.Stat()
+	size, err := endLine(f)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -68,7 +70,7 @@ func OpenTraceLog(path string, maxBytes int64, met *obs.Registry) (*TraceLog, er
 		max:       maxBytes,
 		f:         f,
 		w:         bufio.NewWriterSize(f, 64*1024),
-		size:      st.Size(),
+		size:      size,
 		records:   met.Counter(obs.MTraceLogRecords),
 		rotations: met.Counter(obs.MTraceLogRotations),
 		errs:      met.Counter(obs.MTraceLogErrors),
@@ -77,6 +79,26 @@ func OpenTraceLog(path string, maxBytes int64, met *obs.Registry) (*TraceLog, er
 	}
 	go t.flushLoop()
 	return t, nil
+}
+
+// endLine writes a newline at the end of f, opened for appending, when
+// the file ends mid-line, and returns the file's size after it.
+func endLine(f *os.File) (int64, error) {
+	st, err := f.Stat()
+	if err != nil || st.Size() == 0 {
+		return 0, err
+	}
+	last := make([]byte, 1)
+	if _, err := f.ReadAt(last, st.Size()-1); err != nil {
+		return 0, err
+	}
+	if last[0] == '\n' {
+		return st.Size(), nil
+	}
+	if _, err := f.Write([]byte{'\n'}); err != nil {
+		return 0, err
+	}
+	return st.Size() + 1, nil
 }
 
 func (t *TraceLog) flushLoop() {

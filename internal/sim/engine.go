@@ -417,26 +417,11 @@ func (r *run) serve(rr *runReq) *server.Record {
 // nondeterministic; budgets are the deterministic limit).
 func (r *run) solveFunc(ctx context.Context, inst *ise.Instance, _ time.Duration, budget int64) (*server.Result, error) {
 	r.clock.Advance(time.Duration(r.curCost))
-	sol, err := calib.SolveRobust(inst, &calib.Options{
-		Parallelism: 1,
-		Metrics:     r.reg,
-		Context:     ctx,
-		Budget:      budget,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &server.Result{
-		Schedule:     sol.Schedule,
-		Calibrations: sol.Calibrations,
-		MachinesUsed: sol.MachinesUsed,
-		Components:   sol.Components,
-		LowerBound:   sol.LowerBound,
-		Degraded:     sol.Degraded,
-		Exact:        sol.Exact,
-		Rung:         sol.RungSummary(),
-		Falls:        sol.Falls(),
-	}, nil
+	return server.ResultOf(calib.SolveRobust(inst, &calib.Options{
+		Metrics: r.reg,
+		Context: ctx,
+		Budget:  budget,
+	}))
 }
 
 // respWriter is the in-process ResponseWriter: headers and status

@@ -246,12 +246,3 @@ func solveProblem(prob *lp.Problem, engine Engine, ctl *robust.Control) (*lp.Sol
 	}
 	return lp.SolveChecked(prob, check)
 }
-
-// TotalCalibrations returns the fractional calibration mass sum(C_t).
-func (f *Fractional) TotalCalibrations() float64 {
-	var s float64
-	for _, c := range f.C {
-		s += c
-	}
-	return s
-}

@@ -12,9 +12,6 @@ import (
 type Options struct {
 	// Engine selects the LP backend (default Float64).
 	Engine Engine
-	// MPrime overrides the TISE machine bound m' used by the LP; when
-	// zero the paper's m' = 3m is used (Lemma 2).
-	MPrime int
 	// Strategy names the constraint (2) row handling; Direct, its only
 	// value, is the zero value.
 	Strategy Strategy
@@ -36,7 +33,7 @@ type Result struct {
 	// produced by Algorithm 2 on the rounded calibrations.
 	Schedule *ise.Schedule
 	// LP is the fractional relaxation solution; LP.Objective lower-
-	// bounds the optimal TISE calibration count on MPrime machines.
+	// bounds the optimal TISE calibration count on m' = 3m machines.
 	LP *Fractional
 	// RoundedTimes are the calibration times emitted by Algorithm 1
 	// (before mirroring), at most 2*LP.Objective of them.
@@ -56,10 +53,7 @@ func Solve(inst *ise.Instance, opts Options) (*Result, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	mPrime := opts.MPrime
-	if mPrime == 0 {
-		mPrime = 3 * inst.M
-	}
+	mPrime := 3 * inst.M // Lemma 2
 	met := opts.Metrics
 	if met == nil {
 		met = obs.Default()
