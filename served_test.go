@@ -18,12 +18,16 @@ import (
 // cold-ladder corpus: every workload family at n = 8, 16, 24 and 40,
 // two seeds per cell, m = 2, T = 10, each instance in the canonical
 // form the service caches and solves.
-func servedCorpus(tb testing.TB) []*calib.Instance {
+func servedCorpus(tb testing.TB) []*calib.Instance { return familyCorpus(tb, 2) }
+
+// familyCorpus is servedCorpus with seeds 1 to seeds per cell; at 12
+// seeds it is the 432-instance corpus of DESIGN.md §5.
+func familyCorpus(tb testing.TB, seeds int) []*calib.Instance {
 	tb.Helper()
 	var out []*calib.Instance
 	for fi, fam := range workload.FamilyNames {
 		for _, n := range []int{8, 16, 24, 40} {
-			for seed := 1; seed <= 2; seed++ {
+			for seed := 1; seed <= seeds; seed++ {
 				rng := rand.New(rand.NewSource(int64(1000*seed + 100*fi + n)))
 				inst, err := workload.Family(rng, fam, workload.FamilyConfig{N: n, M: 2, T: 10})
 				if err != nil {
