@@ -15,8 +15,12 @@ import (
 
 	"calib"
 	"calib/internal/core"
+	"calib/internal/decomp"
 	"calib/internal/exact"
 	"calib/internal/exp"
+	"calib/internal/heur"
+	"calib/internal/improve"
+	"calib/internal/ise"
 	"calib/internal/lp"
 	"calib/internal/obs"
 	"calib/internal/tise"
@@ -158,6 +162,36 @@ func BenchmarkExactTail(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+}
+
+// BenchmarkHeuristicPostPass times the greedy path beside the paper's
+// pipeline: heur.Lazy, then improve.Run, then ise.Compact, on every
+// decomp.Split component of familyCorpus's 432 instances. One op
+// solves every component.
+func BenchmarkHeuristicPostPass(b *testing.B) {
+	var comps []*calib.Instance
+	for _, inst := range familyCorpus(b, 12) {
+		for _, c := range decomp.Split(inst) {
+			comps = append(comps, c.Inst)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, inst := range comps {
+			s, err := heur.Lazy(inst, heur.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			r, err := improve.Run(inst, s)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := ise.Compact(inst, r.Schedule); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 func BenchmarkT2SpeedTrade(b *testing.B) {

@@ -23,18 +23,6 @@ type Result struct {
 	Removed, Passes int
 }
 
-// cal is a mutable calibration with its runs, sorted by start.
-type cal struct {
-	machine int
-	start   ise.Time
-	runs    []run
-}
-
-type run struct {
-	job        int
-	start, end ise.Time
-}
-
 // Run improves a feasible unit-speed schedule for inst. It returns an
 // error if the input is infeasible (improvement only works from a
 // feasible point) or not unit speed.
@@ -45,26 +33,10 @@ func Run(inst *ise.Instance, s *ise.Schedule) (*Result, error) {
 	if err := ise.Validate(inst, s); err != nil {
 		return nil, fmt.Errorf("improve: input schedule infeasible: %w", err)
 	}
-	// Build mutable calibration structures.
-	cals := make([]*cal, 0, len(s.Calibrations))
-	index := map[ise.Calibration]*cal{}
-	for _, c := range s.Calibrations {
-		cc := &cal{machine: c.Machine, start: c.Start}
-		cals = append(cals, cc)
-		index[c] = cc
+	cals, err := ise.BinsOf(inst, s)
+	if err != nil {
+		return nil, err
 	}
-	calsByM := s.CalibrationsByMachine()
-	for _, p := range s.Placements {
-		j := inst.Jobs[p.Job]
-		starts := calsByM[p.Machine]
-		i := sort.Search(len(starts), func(i int) bool { return starts[i] > p.Start })
-		cc := index[ise.Calibration{Machine: p.Machine, Start: starts[i-1]}]
-		cc.runs = append(cc.runs, run{job: p.Job, start: p.Start, end: p.Start + j.Processing})
-	}
-	for _, c := range cals {
-		sort.Slice(c.runs, func(a, b int) bool { return c.runs[a].start < c.runs[b].start })
-	}
-
 	res := &Result{}
 	for {
 		res.Passes++
@@ -75,9 +47,9 @@ func Run(inst *ise.Instance, s *ise.Schedule) (*Result, error) {
 	out := ise.NewSchedule(s.Machines)
 	out.Speed = 1
 	for _, c := range cals {
-		out.Calibrate(c.machine, c.start)
-		for _, r := range c.runs {
-			out.Place(r.job, c.machine, r.start)
+		out.Calibrate(c.Machine, c.Start)
+		for _, r := range c.Runs {
+			out.Place(r.Job, c.Machine, r.Start)
 		}
 	}
 	if err := ise.Validate(inst, out); err != nil {
@@ -89,18 +61,18 @@ func Run(inst *ise.Instance, s *ise.Schedule) (*Result, error) {
 
 // pass attempts to eliminate one calibration (least-loaded first);
 // reports whether it removed one.
-func pass(inst *ise.Instance, cals *[]*cal, res *Result) bool {
+func pass(inst *ise.Instance, cals *[]*ise.Bin, res *Result) bool {
 	order := make([]int, len(*cals))
 	for i := range order {
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool {
-		return load((*cals)[order[a]]) < load((*cals)[order[b]])
+		return (*cals)[order[a]].Load() < (*cals)[order[b]].Load()
 	})
 	for _, vi := range order {
 		victim := (*cals)[vi]
 		if tryEvacuate(inst, *cals, victim) {
-			next := make([]*cal, 0, len(*cals)-1)
+			next := make([]*ise.Bin, 0, len(*cals)-1)
 			for _, c := range *cals {
 				if c != victim {
 					next = append(next, c)
@@ -114,43 +86,35 @@ func pass(inst *ise.Instance, cals *[]*cal, res *Result) bool {
 	return false
 }
 
-func load(c *cal) ise.Time {
-	var w ise.Time
-	for _, r := range c.runs {
-		w += r.end - r.start
-	}
-	return w
-}
-
 // tryEvacuate relocates every run of victim into other calibrations;
 // on success the moves are committed and victim is left empty. All-or-
 // nothing: failed attempts roll back.
-func tryEvacuate(inst *ise.Instance, cals []*cal, victim *cal) bool {
+func tryEvacuate(inst *ise.Instance, cals []*ise.Bin, victim *ise.Bin) bool {
 	type move struct {
-		target *cal
-		r      run
+		target *ise.Bin
+		r      ise.Run
 	}
 	var moves []move
 	// Relocate the longest jobs first (hardest to place).
-	pending := append([]run(nil), victim.runs...)
+	pending := append([]ise.Run(nil), victim.Runs...)
 	sort.Slice(pending, func(a, b int) bool {
-		return (pending[a].end - pending[a].start) > (pending[b].end - pending[b].start)
+		return (pending[a].End - pending[a].Start) > (pending[b].End - pending[b].Start)
 	})
 	rollback := func() {
 		for _, mv := range moves {
-			removeRun(mv.target, mv.r)
+			mv.target.Remove(mv.r)
 		}
 	}
 	for _, r := range pending {
-		j := inst.Jobs[r.job]
+		j := inst.Jobs[r.Job]
 		placed := false
 		for _, c := range cals {
 			if c == victim {
 				continue
 			}
-			if start, ok := fit(inst.T, c, j); ok {
-				nr := run{job: r.job, start: start, end: start + j.Processing}
-				insertRun(c, nr)
+			if start, ok := c.Fit(inst.T, j, c.Start); ok {
+				nr := ise.Run{Job: r.Job, Start: start, End: start + j.Processing}
+				c.Add(nr)
 				moves = append(moves, move{target: c, r: nr})
 				placed = true
 				break
@@ -161,59 +125,6 @@ func tryEvacuate(inst *ise.Instance, cals []*cal, victim *cal) bool {
 			return false
 		}
 	}
-	victim.runs = nil
+	victim.Runs = nil
 	return true
-}
-
-// fit returns the latest feasible start of job j inside calibration c.
-func fit(T ise.Time, c *cal, j ise.Job) (ise.Time, bool) {
-	lo := c.start
-	if j.Release > lo {
-		lo = j.Release
-	}
-	hi := c.start + T
-	if j.Deadline < hi {
-		hi = j.Deadline
-	}
-	if hi-lo < j.Processing {
-		return 0, false
-	}
-	prevStart := hi
-	for k := len(c.runs) - 1; k >= -1; k-- {
-		gapEnd := prevStart
-		var gapStart ise.Time
-		if k >= 0 {
-			gapStart = c.runs[k].end
-			prevStart = c.runs[k].start
-		} else {
-			gapStart = lo
-		}
-		if gapStart < lo {
-			gapStart = lo
-		}
-		if gapEnd > hi {
-			gapEnd = hi
-		}
-		if gapEnd-gapStart >= j.Processing {
-			return gapEnd - j.Processing, true
-		}
-		if k >= 0 && c.runs[k].start <= lo {
-			break
-		}
-	}
-	return 0, false
-}
-
-func insertRun(c *cal, r run) {
-	c.runs = append(c.runs, r)
-	sort.Slice(c.runs, func(a, b int) bool { return c.runs[a].start < c.runs[b].start })
-}
-
-func removeRun(c *cal, r run) {
-	for i := range c.runs {
-		if c.runs[i] == r {
-			c.runs = append(c.runs[:i], c.runs[i+1:]...)
-			return
-		}
-	}
 }

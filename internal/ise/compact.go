@@ -1,9 +1,6 @@
 package ise
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Compact recolors a feasible schedule onto the minimum number of
 // machines that its calibrations allow, without changing any
@@ -20,50 +17,22 @@ import (
 // placements, same containment), and uses exactly the clique number of
 // the calibration intervals as its machine count.
 func Compact(inst *Instance, s *Schedule) (*Schedule, error) {
-	if len(s.Calibrations) == 0 {
-		out := s.Clone()
-		if len(s.Placements) > 0 {
-			return nil, fmt.Errorf("ise: cannot compact: placements without calibrations")
+	bins, err := BinsOf(inst, s)
+	if err != nil {
+		return nil, err
+	}
+	sort.Slice(bins, func(a, b int) bool {
+		if bins[a].Start != bins[b].Start {
+			return bins[a].Start < bins[b].Start
 		}
-		out.Machines = 1
-		return out, nil
-	}
-	type unit struct {
-		cal  Calibration
-		jobs []Placement
-	}
-	// Group calibrations per machine in start order so each placement
-	// can be attributed to its containing calibration.
-	calsByM := s.CalibrationsByMachine()
-	units := map[Calibration]*unit{}
-	var order []*unit
-	for _, c := range s.Calibrations {
-		u := &unit{cal: c}
-		units[c] = u
-		order = append(order, u)
-	}
-	for _, p := range s.Placements {
-		j := inst.Jobs[p.Job]
-		end := p.Start + j.Processing/s.Speed
-		start, ok := containingCalibration(calsByM[p.Machine], p.Start, end, inst.T)
-		if !ok {
-			return nil, fmt.Errorf("ise: cannot compact: %v at %d on machine %d has no containing calibration", j, p.Start, p.Machine)
-		}
-		u := units[Calibration{Machine: p.Machine, Start: start}]
-		u.jobs = append(u.jobs, p)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if order[a].cal.Start != order[b].cal.Start {
-			return order[a].cal.Start < order[b].cal.Start
-		}
-		return order[a].cal.Machine < order[b].cal.Machine
+		return bins[a].Machine < bins[b].Machine
 	})
 	out := &Schedule{Speed: s.Speed}
 	var free []Time // per new machine: earliest next calibration start
-	for _, u := range order {
+	for _, b := range bins {
 		assigned := -1
 		for k := range free {
-			if free[k] <= u.cal.Start {
+			if free[k] <= b.Start {
 				assigned = k
 				break
 			}
@@ -72,12 +41,12 @@ func Compact(inst *Instance, s *Schedule) (*Schedule, error) {
 			free = append(free, 0)
 			assigned = len(free) - 1
 		}
-		free[assigned] = u.cal.Start + inst.T
-		out.Calibrate(assigned, u.cal.Start)
-		for _, p := range u.jobs {
-			out.Place(p.Job, assigned, p.Start)
+		free[assigned] = b.Start + inst.T
+		out.Calibrate(assigned, b.Start)
+		for _, r := range b.Runs {
+			out.Place(r.Job, assigned, r.Start)
 		}
 	}
-	out.Machines = len(free)
+	out.Machines = max(len(free), 1)
 	return out, nil
 }

@@ -132,11 +132,7 @@ func validate(inst *Instance, s *Schedule, tise bool) error {
 			}
 		}
 	}
-	type run struct {
-		job        int
-		start, end Time
-	}
-	runsByM := map[int][]run{}
+	runsByM := map[int][]Run{}
 	for _, p := range s.Placements {
 		if p.Machine < 0 || p.Machine >= s.Machines {
 			return violationf(ViolationMachineRange, "%v on machine %d outside [0,%d)", inst.Jobs[p.Job], p.Machine, s.Machines)
@@ -152,7 +148,7 @@ func validate(inst *Instance, s *Schedule, tise bool) error {
 		}
 		end := p.Start + dur
 		// Property 3: inside a calibration on the same machine.
-		cal, ok := containingCalibration(calsByM[p.Machine], p.Start, end, inst.T)
+		cal, ok := ContainingCalibration(calsByM[p.Machine], p.Start, end, inst.T)
 		if !ok {
 			return violationf(ViolationUncalibrated, "%v runs [%d,%d) on machine %d with no containing calibration", j, p.Start, end, p.Machine)
 		}
@@ -161,34 +157,35 @@ func validate(inst *Instance, s *Schedule, tise bool) error {
 				return violationf(ViolationTISE, "%v in calibration [%d,%d) not contained in its window", j, cal, cal+inst.T)
 			}
 		}
-		runsByM[p.Machine] = append(runsByM[p.Machine], run{job: p.Job, start: p.Start, end: end})
+		runsByM[p.Machine] = append(runsByM[p.Machine], Run{Job: p.Job, Start: p.Start, End: end})
 	}
 	// Property 2: non-overlap of jobs per machine.
 	for m, runs := range runsByM {
 		sort.Slice(runs, func(a, b int) bool {
-			if runs[a].start != runs[b].start {
-				return runs[a].start < runs[b].start
+			if runs[a].Start != runs[b].Start {
+				return runs[a].Start < runs[b].Start
 			}
-			return runs[a].end < runs[b].end
+			return runs[a].End < runs[b].End
 		})
 		for i := 1; i < len(runs); i++ {
-			if runs[i].start < runs[i-1].end {
+			if runs[i].Start < runs[i-1].End {
 				return violationf(ViolationJobOverlap, "machine %d: %v and %v overlap",
-					m, inst.Jobs[runs[i-1].job], inst.Jobs[runs[i].job])
+					m, inst.Jobs[runs[i-1].Job], inst.Jobs[runs[i].Job])
 			}
 		}
 	}
 	return nil
 }
 
-// containingCalibration returns the start of a calibration in the
+// ContainingCalibration returns the start of a calibration in the
 // sorted list ts that fully contains [start, end) given calibration
 // length T, and whether one exists. When calibrations on the machine
 // are non-overlapping, the containing calibration (if any) is the
 // latest one starting at or before start. start and end lie in a
 // validated job window; the calibration starts may be anything, so
-// they are never added to.
-func containingCalibration(ts []Time, start, end, T Time) (Time, bool) {
+// they are never added to. It is the one containment lookup of the
+// validator, BinsOf and tise.TransformToTISE.
+func ContainingCalibration(ts []Time, start, end, T Time) (Time, bool) {
 	i := sort.Search(len(ts), func(i int) bool { return ts[i] > start })
 	// Calibrations may be un-validated (overlapping) at this point, so
 	// scan all calibrations starting at or before start.

@@ -2,7 +2,6 @@ package tise
 
 import (
 	"fmt"
-	"sort"
 
 	"calib/internal/ise"
 )
@@ -34,18 +33,15 @@ func TransformToTISE(inst *ise.Instance, src *ise.Schedule) (*ise.Schedule, erro
 		}
 	}
 	out := ise.NewSchedule(3 * src.Machines)
-	calsByM := src.CalibrationsByMachine()
-	for i, starts := range calsByM {
-		for _, t := range starts {
-			out.Calibrate(3*i, t)
-			out.Calibrate(3*i+1, t+inst.T)
-			out.Calibrate(3*i+2, t-inst.T)
-		}
+	for _, c := range src.Calibrations {
+		out.Calibrate(3*c.Machine, c.Start)
+		out.Calibrate(3*c.Machine+1, c.Start+inst.T)
+		out.Calibrate(3*c.Machine+2, c.Start-inst.T)
 	}
+	calsByM := src.CalibrationsByMachine()
 	for _, p := range src.Placements {
 		j := inst.Jobs[p.Job]
-		starts := calsByM[p.Machine]
-		tj, ok := containing(starts, p.Start, p.Start+j.Processing, inst.T)
+		tj, ok := ise.ContainingCalibration(calsByM[p.Machine], p.Start, p.Start+j.Processing, inst.T)
 		if !ok {
 			return nil, fmt.Errorf("tise: %v at %d on machine %d has no containing calibration", j, p.Start, p.Machine)
 		}
@@ -62,18 +58,4 @@ func TransformToTISE(inst *ise.Instance, src *ise.Schedule) (*ise.Schedule, erro
 		}
 	}
 	return out, nil
-}
-
-// containing returns the start of the calibration in sorted starts
-// that contains [start, end), given length T.
-func containing(starts []ise.Time, start, end, T ise.Time) (ise.Time, bool) {
-	i := sort.Search(len(starts), func(i int) bool { return starts[i] > start })
-	if i == 0 {
-		return 0, false
-	}
-	t := starts[i-1]
-	if t <= start && end <= t+T {
-		return t, true
-	}
-	return 0, false
 }
