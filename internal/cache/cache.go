@@ -102,6 +102,9 @@ func (c *Cache[V]) shard(key uint64) *shard[V] { return &c.shards[key%numShards]
 func (c *Cache[V]) SetFault(f *fault.Injector) { c.fault = f }
 
 // Get returns the cached value for key, marking it most recently used.
+// A hit counts in cache_hits_total. A miss counts nothing: the miss
+// counter counts solves, and a caller that goes on to solve counts it
+// through Do.
 func (c *Cache[V]) Get(key uint64) (V, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
@@ -111,7 +114,6 @@ func (c *Cache[V]) Get(key uint64) (V, bool) {
 		c.hits.Inc()
 		return el.Value.(*entry[V]).val, true
 	}
-	c.misses.Inc()
 	var zero V
 	return zero, false
 }

@@ -148,9 +148,10 @@ func TestMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := New[int](16, reg)
 	c.Put(1, 1)
-	c.Get(1)       // hit
-	c.Get(2)       // miss
-	c.Put(1+16, 2) // evicts 1
+	c.Get(1) // hit
+	c.Get(2) // a miss that solves nothing: not counted
+	// The miss that solves; storing its answer evicts 1.
+	c.Do(1+16, func() (int, error) { return 2, nil })
 	if got := reg.Counter(obs.MCacheHits).Value(); got != 1 {
 		t.Errorf("hits = %d, want 1", got)
 	}

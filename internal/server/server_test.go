@@ -130,6 +130,65 @@ func TestCacheServesEquivalentInstances(t *testing.T) {
 	}
 }
 
+// TestCacheMissesCountSolves: cache_misses_total counts one miss per
+// solve that ran, a peek that missed counts none, and a twin answered
+// from the cache counts one hit. The healthz body reports the same
+// counters.
+func TestCacheMissesCountSolves(t *testing.T) {
+	reg := obs.NewRegistry()
+	ts := httptest.NewServer(New(Config{Metrics: reg}))
+	defer ts.Close()
+
+	const k = 3
+	for i := 0; i < k; i++ {
+		inst := testInstance(0)
+		inst.Jobs[0].Processing += ise.Time(i)
+		resp := postJSON(t, ts.URL+"/v1/solve", api.SolveRequest{Instance: inst})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("solve %d: status %d", i, resp.StatusCode)
+		}
+	}
+	twin := decode[api.SolveResponse](t, postJSON(t, ts.URL+"/v1/solve", api.SolveRequest{Instance: testInstance(500)}))
+	if !twin.Cached {
+		t.Fatal("shifted twin missed the cache")
+	}
+	unsolved := testInstance(0)
+	unsolved.Jobs[0].Processing += k
+	body, err := json.Marshal(api.SolveRequest{Instance: unsolved})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/solve", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(api.HeaderPeek, "1")
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("peek for an unsolved instance: status %d, want 204", resp.StatusCode)
+	}
+
+	misses := reg.Counter(obs.MCacheMisses).Value()
+	hits := reg.Counter(obs.MCacheHits).Value()
+	solves := reg.Histogram(obs.MSolveSeconds, nil).Count()
+	if misses != k || solves != k || hits != 1 {
+		t.Errorf("cache_misses_total %d, solve_seconds count %d, cache_hits_total %d; want %d, %d, 1", misses, solves, hits, k, k)
+	}
+	resp, err = http.Get(ts.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := decode[api.Health](t, resp); h.CacheMisses != k || h.CacheHits != 1 {
+		t.Errorf("healthz cache_misses %d, cache_hits %d; want %d, 1", h.CacheMisses, h.CacheHits, k)
+	}
+}
+
 // TestShedsWith429AndRetryAfter: with one slot, no queue, and a
 // solver parked on a barrier, a second request must shed immediately
 // with 429, the fixed 1 s Retry-After header, and a JSON body echoing
