@@ -158,8 +158,11 @@ func scanWire(r io.Reader, inj *fault.Injector, fn func(key uint64, payload []by
 			st.Corrupt++
 			break
 		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
+		// Grow the payload as its bytes arrive instead of allocating
+		// the claimed length up front: a short stream whose header
+		// claims maxEntryLen must not cost 64 MiB.
+		payload, err := io.ReadAll(io.LimitReader(br, int64(n)))
+		if err != nil || len(payload) < int(n) {
 			st.Corrupt++ // truncated mid-payload
 			break
 		}

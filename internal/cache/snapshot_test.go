@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -184,6 +185,28 @@ func TestRestoreHugeLengthField(t *testing.T) {
 	}
 	if st.Corrupt != 1 || st.Restored != 0 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestShortStreamClaimingMaxLengthAllocatesLittle: a 20-byte stream,
+// the magic plus one header claiming maxEntryLen, is a truncated entry,
+// and reading it must not allocate the claimed 64 MiB.
+func TestShortStreamClaimingMaxLengthAllocatesLittle(t *testing.T) {
+	var buf bytes.Buffer
+	buf.WriteString(snapMagic)
+	var hdr [12]byte
+	binary.LittleEndian.PutUint64(hdr[0:8], 1)
+	binary.LittleEndian.PutUint32(hdr[8:12], maxEntryLen)
+	buf.Write(hdr[:])
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st, err := ReadWire(&buf, func(uint64, []byte) bool { return true })
+	runtime.ReadMemStats(&after)
+	if err != nil || st.Corrupt != 1 {
+		t.Fatalf("stats %+v, err %v; want one corrupt entry", st, err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("scan allocated %d bytes, want under 1 MiB", alloc)
 	}
 }
 
