@@ -9,6 +9,9 @@
 # scripts/benchgate.sh enforces. BenchmarkExactTail (the exact rung's
 # search on components that once took 100 000+ nodes) records its
 # ns/op, allocs/op and deterministic nodes/op in an exact_tail block.
+# BenchmarkHeuristicPostPass (heur.Lazy, improve.Run and ise.Compact on
+# every time component of the 432-instance family corpus) records its
+# ns/op, B/op and allocs/op in a heuristic_post_pass block.
 # A telemetry block from one instrumented parallel solve on the
 # production LP path (isegen clustered -> isesolve -par 4 -metrics-out)
 # rides along so the report also captures what the solver *did*:
@@ -30,7 +33,7 @@ trap 'rm -f "$RAW" "$MET" "$INST"' EXIT
 
 # No pipe into tee: a pipeline would mask go test's exit status under
 # plain sh and a failed run would clobber the previous numbers.
-go test -run XXX -bench 'BenchmarkT1LongWindowN40|BenchmarkT8Scaling|BenchmarkServedLadder|BenchmarkExactTail' \
+go test -run XXX -bench 'BenchmarkT1LongWindowN40|BenchmarkT8Scaling|BenchmarkServedLadder|BenchmarkExactTail|BenchmarkHeuristicPostPass' \
 	-benchtime "$BENCHTIME" . >"$RAW" 2>&1 || {
 	cat "$RAW"
 	echo "bench run failed; $OUT left untouched" >&2
@@ -101,6 +104,12 @@ END {
 	printf "    \"ns_per_op\": %s,\n", jnum(ns[et])
 	printf "    \"allocs_per_op\": %s,\n", jnum(allocs[et])
 	printf "    \"nodes_per_op\": %s\n", jnum(nodes[et])
+	printf "  },\n"
+	hp = "BenchmarkHeuristicPostPass"
+	printf "  \"heuristic_post_pass\": {\n"
+	printf "    \"ns_per_op\": %s,\n", jnum(ns[hp])
+	printf "    \"bytes_per_op\": %s,\n", jnum(bytes[hp])
+	printf "    \"allocs_per_op\": %s\n", jnum(allocs[hp])
 	printf "  },\n"
 	printf "  \"telemetry\": {\n"
 	printf "    \"lp_pivots\": %s,\n", jnum(metric["lp_pivots_total"])

@@ -6,7 +6,10 @@
 # BenchmarkServedLadder, calib.SolveRobust over a fixed corpus of
 # every workload family as ised serves it, and BenchmarkExactTail, the
 # exact rung's search on components that once took 100 000+ nodes,
-# which the served corpus never reaches) on the working tree and on
+# which the served corpus never reaches, and
+# BenchmarkHeuristicPostPass, heur.Lazy then improve.Run then
+# ise.Compact on every time component of the 432-instance family
+# corpus) on the working tree and on
 # a base ref checked out into a throwaway git worktree, then fails if
 # any sub-benchmark's mean ns/op — or, where both sides report them,
 # mean allocs/op, pivots/op or nodes/op — regressed by more than
@@ -45,7 +48,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 BASE_REF="${1:-origin/main}"
-BENCH='BenchmarkT1LongWindowN40|BenchmarkT8Scaling|BenchmarkServedLadder|BenchmarkExactTail'
+BENCH='BenchmarkT1LongWindowN40|BenchmarkT8Scaling|BenchmarkServedLadder|BenchmarkExactTail|BenchmarkHeuristicPostPass'
 BENCHTIME="${BENCHGATE_BENCHTIME:-3x}"
 COUNT="${BENCHGATE_COUNT:-3}"
 PCT="${BENCHGATE_PCT:-10}"
